@@ -31,7 +31,7 @@ class CircuitStats:
     Computed by :meth:`Circuit.stats` in a single pass over the
     instruction list (plus the depth scan).  The snapshot is immutable and
     hashable via :meth:`key`, so it can serve as a component of cache keys
-    (see ``repro.plan``) and as a JSON-friendly report row via
+    and as a JSON-friendly report row via
     :meth:`as_dict` — consumers should reach for it instead of ad-hoc
     ``len(circuit.instructions)`` counting.
     """

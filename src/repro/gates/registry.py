@@ -8,6 +8,8 @@ gate *representation* (the unitary matrix).  Builders are plain functions
 
 from __future__ import annotations
 
+import os
+import threading
 from collections import OrderedDict
 from typing import Callable, Dict, Tuple
 
@@ -23,9 +25,23 @@ InverseRule = Callable[..., Tuple[str, Tuple[float, ...]]]
 
 _REGISTRY: Dict[str, Tuple[int, int, MatrixBuilder, "InverseRule | None"]] = {}
 # LRU-bounded: variational workloads construct gates with ever-fresh angles,
-# so an uncapped cache would grow for the life of the process.
+# so an uncapped cache would grow for the life of the process.  Lookup,
+# insert and evict hold the lock (dispatcher threads and plan binding
+# build gates concurrently); gates are built outside it.
 _GATE_CACHE: "OrderedDict[Tuple[str, Tuple[float, ...]], Gate]" = OrderedDict()
 _GATE_CACHE_MAX = 4096
+_GATE_CACHE_LOCK = threading.Lock()
+
+
+def _reset_gate_cache_lock() -> None:
+    # Pool workers are forked and build gates in plan.bind; a lock held
+    # by a parent thread at fork time would never be released there.
+    global _GATE_CACHE_LOCK
+    _GATE_CACHE_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_gate_cache_lock)
 
 
 def register_gate(
@@ -108,17 +124,22 @@ def get_gate(name: str, *params: "float | Parameter") -> Gate:
         p if isinstance(p, Parameter) else float(p) for p in params
     )
     cache_key = (key, bound)
-    gate = _GATE_CACHE.get(cache_key)
-    if gate is None:
-        if any(isinstance(p, Parameter) for p in bound):
-            # Deferred gate: identity is (name, params) as usual, the
-            # matrix build waits for Circuit.bind to re-resolve here.
-            gate = Gate(key, num_qubits, None, bound)
-        else:
-            gate = Gate(key, num_qubits, builder(*bound), bound)
-        _GATE_CACHE[cache_key] = gate
-        if len(_GATE_CACHE) > _GATE_CACHE_MAX:
-            _GATE_CACHE.popitem(last=False)
+    with _GATE_CACHE_LOCK:
+        gate = _GATE_CACHE.get(cache_key)
+        if gate is not None:
+            _GATE_CACHE.move_to_end(cache_key)
+            return gate
+    if any(isinstance(p, Parameter) for p in bound):
+        # Deferred gate: identity is (name, params) as usual, the
+        # matrix build waits for Circuit.bind to re-resolve here.
+        built = Gate(key, num_qubits, None, bound)
     else:
+        built = Gate(key, num_qubits, builder(*bound), bound)
+    with _GATE_CACHE_LOCK:
+        # A racing thread may have inserted the same gate meanwhile;
+        # every caller then shares the first one.
+        gate = _GATE_CACHE.setdefault(cache_key, built)
         _GATE_CACHE.move_to_end(cache_key)
+        while len(_GATE_CACHE) > _GATE_CACHE_MAX:
+            _GATE_CACHE.popitem(last=False)
     return gate

@@ -76,7 +76,7 @@ def run_batched_sweep(
         raise SimulationError(
             "batched sweeps cannot run dynamic circuits: measure/reset/"
             "if_bit collapse each sweep point independently, so there is "
-            "no shared batched contraction — use sweep_mode='loop'"
+            "no shared batched contraction — use sweep_mode='per_element'"
         )
     points = len(bindings)
     if points == 0:

@@ -5,16 +5,18 @@ the same circuit twice — or sweeping a parametric template whose plan was
 compiled last call — skips transpilation and lowering entirely.
 
 Keying: a plan is identified by the *content* of the circuit (its
-instruction tuple compares gates by name/params/matrix, so two separately
-built but identical circuits share a plan), the structural
-:meth:`~repro.circuit.Circuit.stats` key as a cheap discriminator, the
-backend's name/mode/dtype, and the compile-relevant options (``optimize``,
-the identity of each ``passes`` entry, the identity + rule count of the
-``noise_model``).  Entries hold strong references to the pass and noise
-objects whose ``id()`` appears in the key, so a key can never collide with
-a dead object's recycled id.  Pass objects are assumed to honour the
-:class:`~repro.transpile.Pass` purity contract (same pass, same rewrite);
-noise-model rule *additions* change the rule count and miss naturally.
+width, its classical-register width, and its instruction tuple, which
+compares gates by name/params/matrix, so two separately built but
+identical circuits share a plan), the backend's name/mode/dtype, and the
+compile-relevant options (``optimize``, the identity of each ``passes``
+entry, the identity + rule count of the ``noise_model``).
+:func:`plan_key` builds the key once per compile; :func:`cache_get` and
+:func:`cache_put` both take it.  Entries hold strong references to the
+pass and noise objects whose ``id()`` appears in the key, so a key can
+never collide with a dead object's recycled id.  Pass objects are assumed
+to honour the :class:`~repro.transpile.Pass` purity contract (same pass,
+same rewrite); noise-model rule *additions* change the rule count and
+miss naturally.
 
 The cache is LRU-bounded and instrumented: :func:`plan_cache_info`
 exposes hits/misses/size for tests, benchmarks, and capacity planning.
@@ -24,11 +26,13 @@ plans from dispatcher threads while user code compiles on the main thread,
 and an unguarded ``move_to_end``/eviction race corrupts the OrderedDict.
 The lock is process-local — worker processes get their own (empty) cache,
 which is why the parent ships *compiled* plans to workers instead of
-letting them compile.
+letting them compile — and is re-created in forked children, which could
+otherwise inherit it held by a parent thread that does not exist there.
 """
 
 from __future__ import annotations
 
+import os
 import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Optional
@@ -45,6 +49,15 @@ _LOCK = threading.Lock()
 _CACHE: "OrderedDict[tuple, _Entry]" = OrderedDict()
 _HITS = 0
 _MISSES = 0
+
+
+def _reset_lock() -> None:
+    global _LOCK
+    _LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock)
 
 
 class _Entry:
@@ -99,19 +112,20 @@ def _noise_key(noise_model: Optional["NoiseModel"]) -> Optional[tuple]:
     )
 
 
-def _key(
+def plan_key(
     circuit: "Circuit",
     backend_name: str,
     mode: str,
     dtype: Any,
     options: "RunOptions",
 ) -> tuple:
+    """The cache key of one compilation (see the module docstring)."""
     return (
         backend_name,
         mode,
         str(dtype),
         circuit.num_qubits,
-        circuit.stats().key(),
+        circuit.num_clbits,
         circuit.instructions,
         bool(options.optimize),
         # Certified and uncertified compiles of the same circuit differ
@@ -124,16 +138,9 @@ def _key(
     )
 
 
-def cache_get(
-    circuit: "Circuit",
-    backend_name: str,
-    mode: str,
-    dtype: Any,
-    options: "RunOptions",
-) -> Optional["ExecutionPlan"]:
-    """The cached plan for this compilation, or ``None`` (counted either way)."""
+def cache_get(key: tuple) -> Optional["ExecutionPlan"]:
+    """The cached plan for ``key``, or ``None`` (counted either way)."""
     global _HITS, _MISSES
-    key = _key(circuit, backend_name, mode, dtype, options)
     with _LOCK:
         entry = _CACHE.get(key)
         if entry is None:
@@ -144,16 +151,12 @@ def cache_get(
         return entry.plan
 
 
-def cache_put(
-    circuit: "Circuit",
-    backend_name: str,
-    mode: str,
-    dtype: Any,
-    options: "RunOptions",
-    plan: "ExecutionPlan",
-) -> None:
-    """Insert ``plan``, evicting the least recently used entry when full."""
-    key = _key(circuit, backend_name, mode, dtype, options)
+def cache_put(key: tuple, options: "RunOptions", plan: "ExecutionPlan") -> None:
+    """Insert ``plan`` under ``key``, evicting the least recently used entry.
+
+    ``options`` supplies the pass and noise objects whose ids the key
+    holds; the entry pins them.
+    """
     entry = _Entry(plan, options.noise_model, options.passes)
     with _LOCK:
         _CACHE[key] = entry

@@ -4,11 +4,12 @@ The eager simulation path re-did the same bookkeeping on every ``run()``:
 matrix lookup per instruction, axis arithmetic per contraction, noise-rule
 matching per gate, and — for a parameter sweep — all of it once per
 binding.  :func:`compile_plan` hoists that work to compile time: a circuit
-lowers once into a flat op sequence whose matrices are already reshaped
-for :func:`numpy.tensordot` with their contraction axes resolved, Kraus
-channels grouped, and :class:`~repro.noise.NoiseModel` rules matched per
-instruction.  Executing the plan (the backends' shared tight loop in
-:class:`~repro.sim.BaseBackend`) is then nothing but contractions.
+lowers once into a flat op sequence whose matrices are already cast and
+reshaped with their target qubits resolved, Kraus channels grouped, and
+:class:`~repro.noise.NoiseModel` rules matched per instruction.  Executing
+the plan (the backends' shared loop in :class:`~repro.sim.BaseBackend`)
+is then nothing but contractions: static statevector, trajectory and ptm
+plans run as one matrix product per op into two preallocated buffers.
 
 Parametric gates lower to :class:`ParametricSlotOp` placeholders;
 :meth:`ExecutionPlan.bind` resolves the slots to concrete ops *without
@@ -31,9 +32,10 @@ Four lowering modes exist, selected by the target backend's ``plan_mode``:
 * ``"ptm"`` — every gate *and* every channel becomes one real
   ``(4**k, 4**k)`` Pauli-transfer matrix contracting onto the ``(4,) * n``
   Pauli vector of rho (:class:`PTMOp`).  Because gates and noise now
-  compose by plain matrix multiplication, lowering fuses adjacent
-  gate+channel runs on overlapping qubits into single ops (up to
-  :data:`PTM_FUSE_WIDTH` qubits) — channels stop being fusion barriers.
+  compose by plain matrix multiplication, lowering keeps one open fusion
+  group per qubit and folds every gate and channel into the groups on its
+  qubits (up to :data:`PTM_FUSE_WIDTH` qubits per group) — channels stop
+  being fusion barriers, and runs on disjoint qubits fuse independently.
   Dynamic instructions are rejected in this mode.
 
 Dynamic instructions (measure/reset/if_bit) lower to
@@ -42,12 +44,14 @@ Plans containing them (or trajectory Kraus ops) set
 :attr:`ExecutionPlan.has_dynamic_ops`; the backends' shared loop then
 threads an RNG and a classical-bit register through
 :func:`execute_dynamic_pure` / :func:`execute_dynamic_density` instead of
-the plain op-after-op fast path.
+the static fast path.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import threading
 import time
 from collections import OrderedDict
 from typing import (
@@ -66,7 +70,7 @@ from typing import (
 import numpy as np
 
 from repro.circuit import Circuit, Parameter
-from repro.circuit.ptm import embed_ptm, kraus_to_ptm
+from repro.circuit.ptm import kraus_to_ptm
 from repro.utils.exceptions import SimulationError
 
 if TYPE_CHECKING:
@@ -262,11 +266,26 @@ class DensityKrausOp:
 # lowerings share one U·U† conjugation instead of recomputing it per
 # instruction.  The matrix bytes are part of the key because (name,
 # params) does not determine the unitary for ad-hoc gates — every
-# transpile-fused block is named "unitary" with no params.
+# transpile-fused block is named "unitary" with no params.  Dispatcher
+# threads lower concurrently, so lookup, insert and evict hold the lock;
+# a PTM is built outside it (two racing threads may both build one, and
+# both then share the first inserted).
 _GATE_PTM_CACHE: "OrderedDict[Tuple[str, Tuple[float, ...], bytes], np.ndarray]" = (
     OrderedDict()
 )
 _GATE_PTM_CACHE_MAX = 4096
+_GATE_PTM_LOCK = threading.Lock()
+
+
+def _reset_gate_ptm_lock() -> None:
+    # A fork can land while another thread holds the lock; the child
+    # would inherit it locked with no thread left to release it.
+    global _GATE_PTM_LOCK
+    _GATE_PTM_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_gate_ptm_lock)
 
 
 def _gate_ptm(
@@ -277,26 +296,31 @@ def _gate_ptm(
         tuple(float(p) for p in params),
         np.ascontiguousarray(matrix).tobytes(),
     )
-    cached = _GATE_PTM_CACHE.get(key)
-    if cached is not None:
+    with _GATE_PTM_LOCK:
+        cached = _GATE_PTM_CACHE.get(key)
+        if cached is not None:
+            _GATE_PTM_CACHE.move_to_end(key)
+            return cached
+    built = kraus_to_ptm((matrix,), num_qubits)
+    built.setflags(write=False)
+    with _GATE_PTM_LOCK:
+        ptm = _GATE_PTM_CACHE.setdefault(key, built)
         _GATE_PTM_CACHE.move_to_end(key)
-        return cached
-    ptm = kraus_to_ptm((matrix,), num_qubits)
-    ptm.setflags(write=False)
-    _GATE_PTM_CACHE[key] = ptm
-    if len(_GATE_PTM_CACHE) > _GATE_PTM_CACHE_MAX:
-        _GATE_PTM_CACHE.popitem(last=False)
+        while len(_GATE_PTM_CACHE) > _GATE_PTM_CACHE_MAX:
+            _GATE_PTM_CACHE.popitem(last=False)
     return ptm
 
 
 class PTMOp:
     """A real Pauli-transfer-matrix contraction onto a ``(4,) * n`` vector.
 
-    The ptm-mode analogue of :class:`UnitaryOp` — same precomputed-axis
-    tensordot discipline, base 4 instead of base 2, float64 instead of
-    complex.  One op routinely covers a whole fused gate+channel run:
-    in this basis noise composes with gates by matrix multiplication, so
-    lowering collapses adjacent runs into a single ``(4**k, 4**k)`` block.
+    The ptm-mode analogue of :class:`UnitaryOp` — same op layout, base 4
+    instead of base 2, float64 instead of complex, and the same single
+    matrix product per op in the backends' shared loop.  One op routinely
+    covers a whole fused gate+channel run: in this basis noise composes
+    with gates by matrix multiplication, so lowering collapses every run
+    on the same one or two qubits into a single ``(4**k, 4**k)`` block,
+    named after its members (``"h+depolarizing+cx+depolarizing"``).
     """
 
     __slots__ = ("tensor", "targets", "in_axes", "out_axes", "name")
@@ -677,7 +701,7 @@ class ExecutionPlan:
     """A lowered, immutable program: what a backend actually executes.
 
     Produced by :func:`compile_plan`; executed by
-    :meth:`~repro.sim.BaseBackend.execute_plan` (one tight loop shared by
+    :meth:`~repro.sim.BaseBackend.execute_plan` (one op loop shared by
     every backend) or, for parameter sweeps on the statevector engine, by
     :func:`repro.plan.run_batched_sweep` as one batched contraction per op.
     """
@@ -893,13 +917,22 @@ def _lower_dynamic(
     return ConditionalOp(operation.clbit, operation.value, inner)
 
 
-class _PTMFusionGroup:
-    """A pending run of PTMs being fused into one op at lowering time.
+def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """``np.kron`` of two square matrices by one broadcast multiply."""
+    a, b = left.shape[0], right.shape[0]
+    return (left[:, None, :, None] * right[None, :, None, :]).reshape(a * b, a * b)
 
-    The base-4 sibling of :class:`repro.transpile.fusion._FusionGroup`:
-    absorbing an op widens the accumulated matrix by ``kron`` with the
-    identity on any new qubits (existing qubits keep their slot order),
-    embeds the incoming PTM at the right slots, and left-multiplies.
+
+class _PTMFusionGroup:
+    """An open run of PTMs on a few qubits, fused into one op at lowering time.
+
+    ``matrix`` is the product of every member so far, a
+    ``(4**w, 4**w)`` PTM on ``qubits`` in slot order (the first qubit is
+    the most significant base-4 digit).  :meth:`merge` joins a group on
+    disjoint qubits by a Kronecker product — such groups commute — and
+    :meth:`absorb` left-multiplies an incoming PTM without embedding it:
+    once the incoming qubits sit at contiguous slots ``p .. p+k-1``, the
+    product is one ``np.matmul`` over the ``(4**p, 4**k, -1)`` view.
     Nothing here mutates its inputs, so cached gate/channel PTMs stay
     shared until a second member actually arrives.
     """
@@ -913,17 +946,34 @@ class _PTMFusionGroup:
         self.matrix = matrix
         self.names = [name]
 
-    def can_absorb(self, qubits: Sequence[int], max_width: int) -> bool:
-        return len(set(self.qubits) | set(qubits)) <= max_width
+    def merge(self, other: "_PTMFusionGroup") -> None:
+        self.matrix = _kron(self.matrix, other.matrix)
+        self.qubits += other.qubits
+        self.names += other.names
 
     def absorb(self, qubits: Sequence[int], matrix: np.ndarray, name: str) -> None:
         new = [q for q in qubits if q not in self.qubits]
         if new:
-            self.matrix = np.kron(self.matrix, np.eye(4 ** len(new)))
-            self.qubits.extend(new)
-        positions = [self.qubits.index(q) for q in qubits]
-        incoming = embed_ptm(matrix, positions, len(self.qubits))
-        self.matrix = incoming @ self.matrix
+            self.matrix = _kron(self.matrix, np.eye(4 ** len(new)))
+            self.qubits += new
+        k = len(qubits)
+        start = self.qubits.index(qubits[0])
+        if self.qubits[start : start + k] != list(qubits):
+            # Reorder the slots so the incoming qubits close the register
+            # in the incoming order: a permutation of rows and columns.
+            order = [q for q in self.qubits if q not in qubits] + list(qubits)
+            width = len(order)
+            axes = [self.qubits.index(q) for q in order]
+            tensor = self.matrix.reshape((4,) * (2 * width))
+            self.matrix = tensor.transpose(axes + [a + width for a in axes]).reshape(
+                4**width, 4**width
+            )
+            self.qubits = order
+            start = width - k
+        dim = self.matrix.shape[0]
+        self.matrix = np.matmul(
+            matrix, self.matrix.reshape(4**start, 4**k, -1)
+        ).reshape(dim, dim)
         self.names.append(name)
 
 
@@ -935,40 +985,57 @@ def _lower_ptm(
 ) -> ExecutionPlan:
     """Lower a circuit into fused :class:`PTMOp` runs for the ptm mode.
 
-    Gates and channels alike arrive as real PTMs and fuse greedily
-    through each other — the statevector fusion pass must stop at every
-    channel, but here a noisy layer collapses into one op per
-    ``PTM_FUSE_WIDTH``-qubit group.  Parametric slots (unknown matrices)
-    and ops wider than the cap stay barriers.
+    Gates and channels alike arrive as real PTMs.  Each qubit has at most
+    one open :class:`_PTMFusionGroup`, and the open groups are pairwise
+    disjoint.  An incoming PTM merges every open group on its qubits and
+    joins them, as long as the union fits :data:`PTM_FUSE_WIDTH`;
+    otherwise only those groups are emitted, and the incoming PTM opens a
+    new group.  Groups on other qubits stay open: they commute with
+    everything emitted meanwhile, so a noisy layer collapses into one op
+    per pair of interacting qubits — the statevector fusion pass must
+    stop at every channel, this lowering never does.  Parametric slots
+    (unknown matrices) and ops wider than the cap emit only the groups on
+    their own qubits.  Groups still open at the end are emitted in
+    creation order.
     """
     n = circuit.num_qubits
     ops: List[PlanOp] = []
-    group: Optional[_PTMFusionGroup] = None
+    # Open groups in creation order (a dict as an ordered set), and the
+    # open group, if any, that owns each qubit.
+    open_groups: Dict[_PTMFusionGroup, None] = {}
+    owner: Dict[int, _PTMFusionGroup] = {}
 
-    def flush() -> None:
-        nonlocal group
-        if group is not None:
+    def touching(qubits: Sequence[int]) -> List[_PTMFusionGroup]:
+        return list(dict.fromkeys(owner[q] for q in qubits if q in owner))
+
+    def emit(groups: Sequence[_PTMFusionGroup]) -> None:
+        for group in groups:
+            del open_groups[group]
+            for q in group.qubits:
+                del owner[q]
             ops.append(
-                PTMOp(
-                    "+".join(group.names),
-                    group.matrix,
-                    tuple(group.qubits),
-                    dtype,
-                )
+                PTMOp("+".join(group.names), group.matrix, tuple(group.qubits), dtype)
             )
-            group = None
 
     def feed(name: str, ptm: np.ndarray, qubits: Sequence[int]) -> None:
-        nonlocal group
+        touched = touching(qubits)
         if len(qubits) > PTM_FUSE_WIDTH:
-            flush()
+            emit(touched)
             ops.append(PTMOp(name, ptm, tuple(qubits), dtype))
             return
-        if group is not None and group.can_absorb(qubits, PTM_FUSE_WIDTH):
+        width = len(set(qubits).union(*(g.qubits for g in touched)))
+        if not touched or width > PTM_FUSE_WIDTH:
+            emit(touched)
+            group = _PTMFusionGroup(qubits, ptm, name)
+            open_groups[group] = None
+        else:
+            group = touched[0]
+            for other in touched[1:]:
+                group.merge(other)
+                del open_groups[other]
             group.absorb(qubits, ptm, name)
-            return
-        flush()
-        group = _PTMFusionGroup(qubits, ptm, name)
+        for q in group.qubits:
+            owner[q] = group
 
     for index, instruction in enumerate(circuit):
         operation = instruction.operation
@@ -983,7 +1050,7 @@ def _lower_ptm(
             feed(operation.name, operation.ptm, instruction.qubits)
             continue
         if instruction.is_parametric:
-            flush()
+            emit(touching(instruction.qubits))
             ops.append(
                 ParametricSlotOp(
                     operation.name, operation.params, instruction.qubits, index
@@ -1003,7 +1070,7 @@ def _lower_ptm(
         if noise_model is not None:
             for channel, qubits in noise_model.channels_for(instruction):
                 feed(channel.name, channel.ptm, qubits)
-    flush()
+    emit(list(open_groups))
     return ExecutionPlan(
         PTM,
         n,
@@ -1138,7 +1205,7 @@ def compile_plan(
         hit — repeated ``execute()`` of the same circuit reuses the plan.
     """
     from repro.execution.options import RunOptions
-    from repro.plan.cache import cache_get, cache_put
+    from repro.plan.cache import cache_get, cache_put, plan_key
 
     if not isinstance(circuit, Circuit):
         raise SimulationError(
@@ -1168,7 +1235,8 @@ def compile_plan(
     backend_name = getattr(backend, "name", type(backend).__name__)
 
     if use_cache:
-        cached = cache_get(circuit, backend_name, mode, dtype, options)
+        key = plan_key(circuit, backend_name, mode, dtype, options)
+        cached = cache_get(key)
         if cached is not None:
             return cached
 
@@ -1234,5 +1302,5 @@ def compile_plan(
     for hook in tuple(_LOWER_HOOKS):
         hook(circuit, plan)
     if use_cache:
-        cache_put(circuit, backend_name, mode, dtype, options, plan)
+        cache_put(key, options, plan)
     return plan

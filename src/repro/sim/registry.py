@@ -36,6 +36,7 @@ from typing import (
     Dict,
     Optional,
     Protocol,
+    Sequence,
     Union,
     runtime_checkable,
 )
@@ -47,6 +48,7 @@ from repro.execution.options import resolve_sanitize_mode
 from repro.utils.exceptions import SimulationError
 
 if TYPE_CHECKING:
+    from repro.analysis.sanitize import Sanitizer
     from repro.execution.options import RunOptions
     from repro.noise import NoiseModel
     from repro.plan.plan import ExecutionPlan
@@ -81,12 +83,12 @@ class BaseBackend:
     There is exactly one evolution code path: ``run()`` compiles the
     circuit into an :class:`~repro.plan.ExecutionPlan` (through the
     process-wide plan cache) and hands it to :meth:`execute_plan`, whose
-    tight loop — one precomputed op after another — is shared by every
-    backend.  Subclasses set :attr:`name` and :attr:`plan_mode` and
-    implement only the state-representation hooks:
+    op loop is shared by every backend.  Subclasses set :attr:`name` and
+    :attr:`plan_mode` and implement only the state-representation hooks:
     ``_initial_tensor(num_qubits, initial_state)`` (allocate/convert the
-    starting tensor) and ``_finalize(tensor, num_qubits)`` (wrap the
-    evolved tensor in the backend's state type).  The ``_validate_noise``
+    starting tensor — a fresh array, since the loop evolves it in place)
+    and ``_finalize(tensor, num_qubits)`` (wrap the evolved tensor in the
+    backend's state type).  The ``_validate_noise``
     hook lets a backend reject noise it cannot represent before any state
     is allocated.
     """
@@ -181,7 +183,15 @@ class BaseBackend:
         ``complex64`` plan on a ``complex128``-configured backend (or
         vice versa) stays in the plan's precision end to end.
 
-        Plans with dynamic ops leave the plain op-after-op fast path:
+        Static statevector, trajectory and ptm plans — every op a single
+        contraction — run through one allocation-free loop: two
+        state-sized buffers (the initial tensor and one spare) in a
+        tracked axis layout, each op at most one transposed copy plus one
+        ``np.dot`` with ``out=``, and one transpose at the end.  The
+        results are bitwise identical to chaining ``op.apply``.  Static
+        density plans apply op after op.
+
+        Plans with dynamic ops leave the static loop:
 
         * pure modes thread ``rng`` (fresh unseeded generator when
           ``None``) and a classical-bit register through
@@ -235,13 +245,13 @@ class BaseBackend:
         if tensor.dtype != plan.dtype:
             tensor = tensor.astype(plan.dtype)
         if not plan.has_dynamic_ops:
-            if sanitizer is None:
-                for op in plan.ops:
-                    tensor = op.apply(tensor)
-            else:
+            if plan.mode == "density":
                 for site, op in enumerate(plan.ops):
                     tensor = op.apply(tensor)
-                    sanitizer.after_op(tensor, site, op)
+                    if sanitizer is not None:
+                        sanitizer.after_op(tensor, site, op)
+            else:
+                tensor = _contract_ops(plan.ops, tensor, sanitizer)
             if sanitizer is not None:
                 findings = sanitizer.finish(tensor)
                 if classical is not None:
@@ -266,11 +276,62 @@ class BaseBackend:
     def _validate_noise(self, noise_model: Optional["NoiseModel"]) -> None:
         """Reject noise this backend cannot represent (default: accept)."""
 
+
     def _initial_tensor(self, num_qubits: int, initial_state: Any) -> np.ndarray:
         raise NotImplementedError  # pragma: no cover - abstract hook
 
     def _finalize(self, tensor: np.ndarray, num_qubits: int) -> Any:
         raise NotImplementedError  # pragma: no cover - abstract hook
+
+
+def _contract_ops(
+    ops: Sequence[Any], tensor: np.ndarray, sanitizer: Optional["Sanitizer"]
+) -> np.ndarray:
+    """Apply single-contraction ops (``UnitaryOp``, ``PTMOp``) to ``tensor``.
+
+    No array is allocated per op.  The state lives in one of two
+    state-sized buffers — ``tensor`` itself and one spare — in a
+    *physical* axis layout: the last op's targets, then every other qubit
+    in logical order, which is the layout :func:`numpy.tensordot` builds
+    before ``moveaxis``.  An op is at most one copy of a transposed view
+    into the spare buffer (only when its targets differ from the layout's
+    leading axes), then one ``np.dot(matrix, a.reshape(d**k, -1),
+    out=b.reshape(d**k, -1))``.  That GEMM gets the very operands
+    ``tensordot`` would build, so the result is bitwise identical to
+    chaining ``op.apply``.  The sanitizer observes a logical-order view
+    after each op; one transpose into the spare buffer ends the loop.
+    """
+    if not ops:
+        return tensor
+    if not (tensor.flags.c_contiguous and tensor.flags.writeable):
+        tensor = np.array(tensor, order="C")
+    n = tensor.ndim
+    side = tensor.shape[0]
+    logical = tuple(range(n))
+    layout = logical  # physical axis i holds logical qubit layout[i]
+    a, b = tensor, np.empty_like(tensor)
+    for site, op in enumerate(ops):
+        targets = tuple(op.targets)
+        wanted = targets + tuple(q for q in logical if q not in targets)
+        if wanted != layout:
+            np.copyto(b, a.transpose([layout.index(q) for q in wanted]))
+            a, b, layout = b, a, wanted
+        dim = side ** len(targets)
+        matrix = op.tensor.reshape(dim, dim)
+        if matrix.dtype != a.dtype:
+            # Lowering casts every op tensor to the plan dtype; a foreign
+            # one promotes the state as tensordot would, and the
+            # sanitizer reports the drift.
+            dtype = np.result_type(matrix, a)
+            a, b = a.astype(dtype), np.empty(a.shape, dtype)
+        np.dot(matrix, a.reshape(dim, -1), out=b.reshape(dim, -1))
+        a, b = b, a
+        if sanitizer is not None:
+            sanitizer.after_op(a.transpose([layout.index(q) for q in logical]), site, op)
+    if layout != logical:
+        np.copyto(b, a.transpose([layout.index(q) for q in logical]))
+        a = b
+    return a
 
 
 BackendLike = Union[None, str, Backend]

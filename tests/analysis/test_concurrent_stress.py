@@ -8,6 +8,10 @@ tests hammer the plan cache from threads and compare parallel
 certificates, and diagnostics alike.
 """
 
+import os
+import sys
+import threading
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -15,7 +19,11 @@ import pytest
 
 from repro import Circuit, RunOptions, clear_plan_cache, execute
 from repro.circuit import Parameter
+from repro.gates import get_gate
+from repro.gates import registry as gate_registry
+from repro.plan import cache as plan_cache
 from repro.plan import compile_plan, plan_cache_info
+from repro.plan import plan as plan_module
 from repro.sim import get_backend
 
 
@@ -148,3 +156,88 @@ class TestParallelExecutionParity:
             np.testing.assert_allclose(
                 a.state.data, b.state.data, atol=1e-12
             )
+
+
+class TestGateCachesUnderThreads:
+    """The gate cache and the gate-PTM cache are shared by every thread.
+
+    With both caps forced small, every few calls evict; an unlocked
+    ``move_to_end``/``popitem`` race then raises ``KeyError`` inside
+    ``OrderedDict``.  A tiny switch interval makes the interpreter swap
+    threads between those steps.
+    """
+
+    CALLS = 3_000
+    THREADS = 8
+
+    def test_sixteen_threads_with_tiny_caps_all_survive(self, monkeypatch):
+        monkeypatch.setattr(gate_registry, "_GATE_CACHE_MAX", 8)
+        monkeypatch.setattr(plan_module, "_GATE_PTM_CACHE_MAX", 8)
+        angles = [0.1 * (i + 1) for i in range(12)]
+        matrices = [get_gate("ry", theta).matrix for theta in angles]
+        errors = []
+
+        def build_gates(offset):
+            try:
+                for i in range(self.CALLS):
+                    theta = angles[(i * 7 + offset) % len(angles)]
+                    assert get_gate("rx", theta).params == (theta,)
+            except Exception as exc:  # collected, asserted on below
+                errors.append(exc)
+
+        def build_ptms(offset):
+            try:
+                for i in range(self.CALLS):
+                    j = (i * 5 + offset) % len(angles)
+                    ptm = plan_module._gate_ptm("ry", (angles[j],), matrices[j], 1)
+                    assert ptm.shape == (4, 4)
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=target, args=(offset,))
+            for offset in range(self.THREADS)
+            for target in (build_gates, build_ptms)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+            gate_registry._GATE_CACHE.clear()
+            plan_module._GATE_PTM_CACHE.clear()
+        assert errors == []
+        assert len(gate_registry._GATE_CACHE) <= 8
+        assert len(plan_module._GATE_PTM_CACHE) <= 8
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_forked_child_gets_fresh_cache_locks(self):
+        # Pool workers are forked while dispatcher threads may hold a
+        # cache lock; the child must not inherit it held.
+        def locks():
+            return (
+                gate_registry._GATE_CACHE_LOCK,
+                plan_module._GATE_PTM_LOCK,
+                plan_cache._LOCK,
+            )
+
+        held = locks()
+        for lock in held:
+            lock.acquire()
+        try:
+            with warnings.catch_warnings():
+                # Python 3.12 warns about forking a multi-threaded process.
+                warnings.simplefilter("ignore", DeprecationWarning)
+                pid = os.fork()
+            if pid == 0:
+                fresh = all(lock.acquire(timeout=1.0) for lock in locks())
+                os._exit(0 if fresh else 1)
+        finally:
+            for lock in held:
+                lock.release()
+        _, status = os.waitpid(pid, 0)
+        assert os.WIFEXITED(status) and os.WEXITSTATUS(status) == 0

@@ -106,5 +106,6 @@ class TestBatchGuard:
         theta = Parameter("theta")
         circuit = Circuit(1, num_clbits=1).ry(theta, 0).measure(0, 0)
         plan = compile_plan(circuit, StatevectorBackend(), use_cache=False)
-        with pytest.raises(SimulationError, match="dynamic"):
+        # The hint must name a sweep_mode that RunOptions accepts.
+        with pytest.raises(SimulationError, match="per_element"):
             run_batched_sweep(plan, [{theta: 0.1}, {theta: 0.2}])

@@ -22,7 +22,6 @@ from repro.bench.workloads import (
 )
 from repro.circuit import Channel, Circuit
 from repro.circuit.ptm import (
-    embed_ptm,
     kraus_to_ptm,
     ptm_is_trace_preserving,
     ptm_is_unital,
@@ -173,18 +172,6 @@ class TestPTMHelpers:
         channel = depolarizing(0.1)
         assert ptm_is_trace_preserving(channel.ptm)
         assert ptm_is_unital(channel.ptm)
-
-    def test_embed_ptm_identity_padding(self):
-        small = kraus_to_ptm((repro.get_gate("x").matrix,), 1)
-        wide = embed_ptm(small, [1], 2)
-        # Acting on qubit 1 of 2: qubit 0's digits are untouched.
-        expected = np.kron(np.eye(4), small)
-        assert wide == pytest.approx(expected)
-
-    def test_embed_ptm_rejects_bad_positions(self):
-        small = np.eye(4)
-        with pytest.raises(Exception):
-            embed_ptm(small, [0, 0], 2)
 
 
 class TestChannelPTMProperty:
@@ -343,6 +330,50 @@ class TestFusionThroughChannels:
         bound = plan.bind({"theta": 0.4})
         assert all(isinstance(op, PTMOp) for op in bound.ops)
 
+    def test_layer_fuses_into_one_op_per_interacting_pair(self):
+        # One open group per qubit: each h waits in its own group until
+        # the cx joins two of them, so the layer needs 2 ops, not 4.
+        circuit = Circuit(4)
+        for q in range(4):
+            circuit.h(q)
+        circuit.cx(0, 1).cx(2, 3)
+        noise = (
+            repro.NoiseModel()
+            .add_channel(depolarizing(0.01), gates=["h"])
+            .add_channel(depolarizing(0.02, num_qubits=2), gates=["cx"])
+        )
+        plan = compile_plan(
+            circuit, get_backend("ptm"), RunOptions(noise_model=noise), use_cache=False
+        )
+        assert [op.targets for op in plan.ops] == [(0, 1), (2, 3)]
+        assert sum(op.name.count("+") + 1 for op in plan.ops) == 12
+        assert plan.ops[0].name == "h+depolarizing+h+depolarizing+cx+depolarizing"
+
+    def test_slot_emits_only_the_groups_on_its_qubits(self):
+        theta = repro.Parameter("theta")
+        circuit = Circuit(3).cx(0, 1).h(2).rz(theta, 2).x(0)
+        plan = compile_plan(circuit, get_backend("ptm"), use_cache=False)
+        summary = [(type(op).__name__, op.targets) for op in plan.ops]
+        # The {0, 1} group stays open across the slot on qubit 2 and
+        # goes on to absorb the x.
+        assert summary == [
+            ("PTMOp", (2,)),
+            ("ParametricSlotOp", (2,)),
+            ("PTMOp", (0, 1)),
+        ]
+        assert plan.ops[2].name == "cx+x"
+
+    def test_reversed_pair_reorders_the_group(self):
+        # cx(1, 0) after cx(0, 1): the group's slots are permuted so the
+        # incoming PTM applies at contiguous positions.
+        circuit = Circuit(2).h(0).cx(0, 1).cx(1, 0).channel(depolarizing(0.05), (1,))
+        plan = compile_plan(circuit, get_backend("ptm"), use_cache=False)
+        assert len(plan.ops) == 1
+        pauli = get_backend("ptm").execute_plan(plan)
+        rho = run(circuit, backend="density_matrix")
+        diff = np.abs(pauli.to_density_matrix().tensor() - rho.tensor())
+        assert float(diff.max()) < _PARITY_ATOL
+
 
 class TestPTMDensityParity:
     """Property tests: PTM agrees with density to 1e-9 on everything."""
@@ -468,6 +499,14 @@ class TestSanitizerUnderstandsPauliBasis:
             options=RunOptions(backend="ptm", sanitize="strict", shots=64, seed=2),
         )
         assert sum(result.counts.values()) == 64
+
+    def test_strict_sanitize_leaves_the_state_bitwise_unchanged(self):
+        circuit = layered_damped(4, layers=2).cx(3, 1)
+        plan = compile_plan(circuit, get_backend("ptm"), use_cache=False)
+        backend = get_backend("ptm")
+        plain = backend.execute_plan(plan, sanitize="off")
+        watched = backend.execute_plan(plan, sanitize="strict")
+        assert np.array_equal(plain.tensor(), watched.tensor())
 
     def test_strict_sanitize_catches_trace_leak(self):
         from repro.utils import SanitizerError
