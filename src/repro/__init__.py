@@ -84,7 +84,6 @@ from repro.service import (
     execute_async,
 )
 from repro.sim import (
-    Backend,
     BaseBackend,
     DensityMatrix,
     DensityMatrixBackend,
@@ -138,7 +137,7 @@ from repro.utils import (
     spawn_seeds,
 )
 
-__version__ = "0.8.0"
+__version__ = "0.9.0"
 
 __all__ = [
     "__version__",
@@ -175,7 +174,6 @@ __all__ = [
     "PassManager",
     "transpile",
     # simulation
-    "Backend",
     "BaseBackend",
     "DensityMatrix",
     "DensityMatrixBackend",

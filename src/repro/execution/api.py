@@ -77,9 +77,9 @@ def _normalise_sweep(parameter_sweep: Sweep, circuit: Circuit) -> List[Dict[str,
                 f"sweep point {index} must be a mapping of parameters to "
                 f"values, got {type(binding).__name__}"
             )
-        # Strays and gaps are both rejected up front — every execution
-        # mode downstream (batched, per-element, legacy backend) then
-        # sees the same fully-validated points.
+        # Strays and gaps are both rejected up front — both execution
+        # modes downstream (batched and per-element) then see the same
+        # fully-validated points.
         point = normalize_binding(
             binding, ExecutionError, label=f"sweep point {index}"
         )
@@ -190,29 +190,60 @@ def element_payload(
 ) -> Dict[str, Any]:
     """Execute one compiled element: bind (sweeps), evolve, sample, measure.
 
-    The shared per-element body of per-element sweeps and batches.  It
-    runs identically on the parent (serial path) and inside a worker
-    process (the pool's ``_element_task`` calls it with the unpickled
-    plan), which is the bitwise-parity guarantee for ``max_workers``.
-    Returns a plain dict so the payload crosses process boundaries
-    without dragging Result/BatchResult construction into workers.
+    The one per-element body of batches and per-element sweeps.  It runs
+    identically on the parent (serial path) and inside a worker process
+    (the pool's ``_element_task`` calls it with the unpickled plan),
+    which is the bitwise-parity guarantee for ``max_workers``.  Returns a
+    plain dict so the payload crosses process boundaries without
+    dragging Result/BatchResult construction into workers.
 
-    Dynamic plans (measure/reset/if_bit, or trajectory Kraus sampling)
-    route through :func:`_dynamic_payload` — shot-resolved per-shot
-    trajectories on pure-state backends, exact branch bookkeeping on the
-    density backend.
+    Plans with dynamic ops (measure/reset/if_bit, or trajectory Kraus
+    sampling):
+
+    * density mode stays deterministic: one branch-bookkeeping evolution
+      yields the ensemble-average state *and* the exact clbit
+      distribution, which is sampled directly.  Readout error models
+      qubit measurement hardware and is deliberately not applied to
+      clbit registers; a circuit without clbits samples its qubits,
+      readout error included.
+    * pure modes with shots run per-shot trajectories
+      (:func:`_trajectory_element`).  Without shots the statevector
+      backend runs one stochastic collapse, seeded as trajectory 0 of
+      this element; the trajectory backend demands shots, because its
+      whole output is the trajectory average.
     """
     bound = plan.bind(point) if point is not None else plan
-    if bound.has_dynamic_ops:
-        return _dynamic_payload(bound, index, options, backend, workers)
+    rng = None
+    if bound.has_dynamic_ops and bound.mode != "density":
+        if options.shots:
+            return _trajectory_element(bound, index, options, backend, workers)
+        if bound.mode == "trajectory":
+            raise ExecutionError(
+                "the trajectory backend needs shots >= 1: each shot is one "
+                "Monte-Carlo trajectory and the result is their average; "
+                "set shots= in RunOptions (or use backend='density_matrix' "
+                "for the exact state)"
+            )
+        rng = ensure_rng(derive_seed(options.seed, index, 0))
+    classical: Dict[str, Any] = {}
     t0 = time.perf_counter()
-    state = backend.execute_plan(bound, sanitize=options.sanitize)
+    state = backend.execute_plan(
+        bound, rng=rng, classical=classical, sanitize=options.sanitize
+    )
     run_time = time.perf_counter() - t0
     counts = memory = None
     sample_time = 0.0
     if options.shots:
         t0 = time.perf_counter()
-        counts, memory = _sample(state, options, index, workers=workers)
+        if bound.num_clbits and "distribution" in classical:
+            probs = np.zeros(1 << bound.num_clbits, dtype=np.float64)
+            for bits, weight in classical["distribution"].items():
+                probs[bitstring_to_index(bits)] = weight
+            counts, memory = _sample_probs(
+                probs / probs.sum(), bound.num_clbits, options, index, workers
+            )
+        else:
+            counts, memory = _sample(state, options, index, workers=workers)
         sample_time = time.perf_counter() - t0
     values = tuple(
         expectation(state, observable) for observable in options.observables
@@ -350,85 +381,6 @@ def _trajectory_element(
     }
 
 
-def _dynamic_payload(
-    plan: "ExecutionPlan",
-    index: int,
-    options: RunOptions,
-    backend: Any,
-    workers: int,
-) -> Dict[str, Any]:
-    """Per-element payload for a plan with dynamic ops.
-
-    Density mode stays deterministic: one branch-bookkeeping evolution
-    yields the ensemble-average state *and* the exact clbit distribution,
-    which is sampled directly (readout error models qubit measurement
-    hardware and is deliberately not applied to clbit registers).  Pure
-    modes are stochastic: with shots they run per-shot trajectories;
-    without shots the statevector backend runs a single seeded trajectory
-    (the trajectory backend instead demands shots — its whole output is
-    the trajectory average).
-    """
-    if plan.mode == "density":
-        t0 = time.perf_counter()
-        classical: Dict[str, Any] = {}
-        state = backend.execute_plan(
-            plan, classical=classical, sanitize=options.sanitize
-        )
-        run_time = time.perf_counter() - t0
-        counts = memory = None
-        sample_time = 0.0
-        if options.shots:
-            t0 = time.perf_counter()
-            if plan.num_clbits:
-                probs = np.zeros(1 << plan.num_clbits, dtype=np.float64)
-                for bits, weight in classical["distribution"].items():
-                    probs[bitstring_to_index(bits)] = weight
-                probs /= probs.sum()
-                counts, memory = _sample_probs(
-                    probs, plan.num_clbits, options, index, workers
-                )
-            else:
-                counts, memory = _sample(state, options, index, workers=workers)
-            sample_time = time.perf_counter() - t0
-        values = tuple(
-            expectation(state, observable) for observable in options.observables
-        )
-        return {
-            "index": index,
-            "state": state,
-            "counts": counts,
-            "memory": memory,
-            "values": values,
-            "run_time_s": run_time,
-            "sample_time_s": sample_time,
-        }
-    if options.shots == 0:
-        if plan.mode == "trajectory":
-            raise ExecutionError(
-                "the trajectory backend needs shots >= 1: each shot is one "
-                "Monte-Carlo trajectory and the result is their average; "
-                "set shots= in RunOptions (or use backend='density_matrix' "
-                "for the exact state)"
-            )
-        # Statevector + dynamic ops, no shots: one stochastic collapse,
-        # seeded as trajectory 0 of this element for reproducibility.
-        t0 = time.perf_counter()
-        rng = ensure_rng(derive_seed(options.seed, index, 0))
-        state = backend.execute_plan(plan, rng=rng, sanitize=options.sanitize)
-        return {
-            "index": index,
-            "state": state,
-            "counts": None,
-            "memory": None,
-            "values": tuple(
-                expectation(state, observable) for observable in options.observables
-            ),
-            "run_time_s": time.perf_counter() - t0,
-            "sample_time_s": 0.0,
-        }
-    return _trajectory_element(plan, index, options, backend, workers)
-
-
 def _circuit_reports(
     circuits: Sequence[Circuit], backend: Any, options: RunOptions
 ) -> Optional[List["AnalysisReport"]]:
@@ -443,7 +395,7 @@ def _circuit_reports(
         return None
     from repro.analysis import AnalysisContext, analyze
 
-    context = AnalysisContext(mode=getattr(backend, "plan_mode", None))
+    context = AnalysisContext(mode=backend.plan_mode)
     return [analyze(circuit, context=context) for circuit in circuits]
 
 
@@ -501,8 +453,10 @@ def _compile_timed(
     timings describe the current call: a cache hit costs only the lookup
     and contributes zero transpile time, instead of echoing the original
     compile's wall times (which could exceed this call's own total).
-    Hit detection reads the cache's miss counter around the compile —
-    sound here because compilation is synchronous and single-threaded.
+    Hit detection reads the process-wide miss counter around the
+    compile.  ``ExecutionService`` dispatcher threads compile
+    concurrently, so a miss in another thread can make a hit here count
+    as a compile; only the reported transpile time is affected.
     """
     from repro.plan import compile_plan, plan_cache_info
 
@@ -514,45 +468,25 @@ def _compile_timed(
     return plan, compile_time, (plan.transpile_time_s if compiled_now else 0.0)
 
 
-def _sweep_is_batchable(
+def _use_batched_sweep(
     template: Circuit, backend: Any, options: RunOptions
 ) -> bool:
-    """Whether a sweep can stack into one batched state evolution.
+    """Whether a sweep evolves as one batched state stack.
 
     Batched evolution is pure-state arithmetic with no per-element
     randomness, so it requires the statevector lowering, no
     shots/memory/noise, and no dynamic ops (measure/reset/if_bit collapse
-    each sweep point independently); everything else falls back to
-    per-element plan execution (same compiled plan, bound per point).
+    each sweep point independently); everything else runs per element
+    (same compiled plan, bound per point).  ``sweep_mode`` pins either
+    path; demanding ``"batched"`` where it cannot run raises.
     """
-    return (
-        getattr(backend, "plan_mode", None) == "statevector"
+    batchable = (
+        backend.plan_mode == "statevector"
         and options.shots == 0
         and not options.memory
         and options.noise_model is None
         and not template.has_dynamic_ops()
     )
-
-
-def _run_sweep(
-    template: Circuit,
-    backend: Any,
-    options: RunOptions,
-    bindings: List[Dict[str, float]],
-    start: float,
-) -> BatchResult:
-    """Execute a parameter sweep off one compiled template.
-
-    On a plan-capable backend (one declaring ``plan_mode``) the template
-    compiles exactly once (transpile + lowering, via the plan cache);
-    bindings then either evolve together as a single ``(N, 2, ..., 2)``
-    batch (one contraction per op) or bind the plan per element — never
-    re-lowering either way.  A backend satisfying only the
-    :class:`~repro.sim.Backend` protocol still sweeps: one transpile of
-    the template, then ``bind() + run()`` per point.
-    """
-    plan_capable = getattr(backend, "plan_mode", None) is not None
-    batchable = plan_capable and _sweep_is_batchable(template, backend, options)
     if options.sweep_mode == "batched" and not batchable:
         if template.has_dynamic_ops():
             raise ExecutionError(
@@ -562,182 +496,50 @@ def _run_sweep(
                 "use sweep_mode='auto' or 'per_element'"
             )
         raise ExecutionError(
-            "sweep_mode='batched' requires a plan-capable statevector "
-            "backend with shots=0, memory=False and no noise model; use "
-            "'auto' to fall back to per-element execution"
+            "sweep_mode='batched' requires a statevector backend with "
+            "shots=0, memory=False and no noise model; use 'auto' to fall "
+            "back to per-element execution"
         )
-    use_batched = batchable and options.sweep_mode != "per_element"
-    reports = _circuit_reports([template], backend, options)
+    return batchable and options.sweep_mode != "per_element"
 
-    plan = None
-    if plan_capable:
-        plan, compile_time, transpile_time = _compile_timed(
-            template, backend, options
-        )
-        bound_template = plan.circuit
 
-        def run_point(point: Dict[str, float]) -> Any:
-            return backend.execute_plan(plan.bind(point))
+def _batched_payloads(
+    plan: "ExecutionPlan",
+    bindings: List[Dict[str, float]],
+    options: RunOptions,
+    backend: Any,
+) -> List[Dict[str, Any]]:
+    """Every sweep point evolved as one ``(N, 2, ..., 2)`` stack: one payload each."""
+    from repro.observables import expectation_batched
+    from repro.plan import run_batched_sweep
 
-    else:
-        compile_time = 0.0
-        transpile_time = 0.0
-        bound_template = template
-        if options.optimize or options.passes is not None:
-            from repro.transpile import transpile
+    t0 = time.perf_counter()
+    batch_states = run_batched_sweep(plan, bindings)
+    element_time = (time.perf_counter() - t0) / len(bindings)
+    sanitize_mode = resolve_sanitize_mode(options.sanitize)
+    if sanitize_mode != "off":
+        # Batched evolution has no per-op hook; run the final-state
+        # checks on every element of the stack (lazy import keeps the
+        # default path analysis-free, like _circuit_reports).
+        from repro.analysis.sanitize import sanitize_batch
 
-            t0 = time.perf_counter()
-            bound_template = transpile(template, passes=options.passes)
-            transpile_time = time.perf_counter() - t0
-        element_options = options.replace(optimize=False, passes=None)
-
-        def run_point(point: Dict[str, float]) -> Any:
-            return backend.run(bound_template.bind(point), options=element_options)
-
-    diagnostics = None
-    if reports is not None:
-        # Every sweep element runs the same template, so one report
-        # (circuit + compiled-plan findings) covers the whole sweep.
-        report = reports[0]
-        if plan is not None:
-            from repro.analysis import verify_plan
-
-            report = report + verify_plan(plan)
-        _enforce_validation([report], options)
-        diagnostics = tuple(report)
-
-    workers = _effective_workers(options)
-    results: List[Result] = []
-    if use_batched:
-        from repro.observables import expectation_batched
-        from repro.plan import run_batched_sweep
-
-        t0 = time.perf_counter()
-        batch_states = run_batched_sweep(plan, bindings)
-        run_time = time.perf_counter() - t0
-        sanitize_mode = resolve_sanitize_mode(options.sanitize)
-        if sanitize_mode != "off":
-            # Batched evolution has no per-op hook; run the final-state
-            # checks on every element of the stack (lazy import keeps the
-            # default path analysis-free, like _circuit_reports).
-            from repro.analysis.sanitize import sanitize_batch
-
-            sanitize_batch(plan, batch_states, sanitize_mode)
-        per_observable = [
-            expectation_batched(batch_states, observable)
-            for observable in options.observables
-        ]
-        element_time = run_time / len(bindings)
-        for index, point in enumerate(bindings):
-            state = backend._finalize(batch_states[index], plan.num_qubits)
-            values = tuple(values[index] for values in per_observable)
-            metadata = {
-                "backend": backend.name,
-                "seed": derive_seed(options.seed, index),
-                "run_time_s": element_time,
-                "sample_time_s": 0.0,
-            }
-            if diagnostics is not None:
-                metadata["diagnostics"] = diagnostics
-            results.append(
-                Result(
-                    # Deferred: Result.circuit resolves the bound circuit
-                    # on first access, so an N-point sweep does not pay N
-                    # full template re-binds just to fill a field most
-                    # consumers never read.
-                    lambda point=point: bound_template.bind(point),
-                    state,
-                    observables=options.observables,
-                    expectation_values=values,
-                    parameters=point,
-                    metadata=metadata,
-                )
-            )
-    else:
-        if plan_capable:
-            if workers > 1 and len(bindings) > 1:
-                # The plan compiled (and pickles) once; workers only
-                # bind/execute/sample.  Per-element seeds derive from the
-                # element index, so the fan-out is results-invisible.
-                from repro.service.pool import dump_plan
-
-                blob = dump_plan(plan)
-                payloads = _parallel_elements(
-                    [blob] * len(bindings), bindings, options, backend, workers
-                )
-            else:
-                payloads = [
-                    element_payload(
-                        plan, point, index, options, backend, workers=workers
-                    )
-                    for index, point in enumerate(bindings)
-                ]
-        else:
-            # Protocol-only backends have no plan to ship; they sweep
-            # serially (sharded sampling still applies, still off the
-            # element-index seeds).
-            payloads = []
-            for index, point in enumerate(bindings):
-                t0 = time.perf_counter()
-                state = run_point(point)
-                run_time = time.perf_counter() - t0
-                counts = memory = None
-                sample_time = 0.0
-                if options.shots:
-                    t0 = time.perf_counter()
-                    counts, memory = _sample(
-                        state, options, index, workers=workers
-                    )
-                    sample_time = time.perf_counter() - t0
-                values = tuple(
-                    expectation(state, observable)
-                    for observable in options.observables
-                )
-                payloads.append(
-                    {
-                        "index": index,
-                        "state": state,
-                        "counts": counts,
-                        "memory": memory,
-                        "values": values,
-                        "run_time_s": run_time,
-                        "sample_time_s": sample_time,
-                    }
-                )
-        for payload, point in zip(payloads, bindings):
-            metadata = {
-                "backend": backend.name,
-                "seed": derive_seed(options.seed, payload["index"]),
-                "run_time_s": payload["run_time_s"],
-                "sample_time_s": payload["sample_time_s"],
-            }
-            if "expectation_std" in payload:
-                metadata["expectation_std"] = payload["expectation_std"]
-            if diagnostics is not None:
-                metadata["diagnostics"] = diagnostics
-            results.append(
-                Result(
-                    lambda point=point: bound_template.bind(point),
-                    payload["state"],
-                    counts=payload["counts"],
-                    memory=payload["memory"],
-                    observables=options.observables,
-                    expectation_values=payload["values"],
-                    parameters=point,
-                    metadata=metadata,
-                )
-            )
-    return BatchResult(
-        results,
-        metadata={
-            "backend": backend.name,
-            "sweep_mode": "batched" if use_batched else "per_element",
-            "workers": 1 if use_batched else workers,
-            "transpile_time_s": transpile_time,
-            "plan_compile_time_s": compile_time,
-            "total_time_s": time.perf_counter() - start,
-        },
-    )
+        sanitize_batch(plan, batch_states, sanitize_mode)
+    per_observable = [
+        expectation_batched(batch_states, observable)
+        for observable in options.observables
+    ]
+    return [
+        {
+            "index": index,
+            "state": backend._finalize(batch_states[index], plan.num_qubits),
+            "counts": None,
+            "memory": None,
+            "values": tuple(values[index] for values in per_observable),
+            "run_time_s": element_time,
+            "sample_time_s": 0.0,
+        }
+        for index in range(len(bindings))
+    ]
 
 
 def _run_batch(
@@ -746,139 +548,104 @@ def _run_batch(
     bindings: Optional[List[Dict[str, float]]],
     single: bool,
 ) -> Union[Result, BatchResult]:
+    """Compile, verify, run and collect every element of one job.
+
+    Every circuit compiles in the parent, through the plan cache, with
+    the *full* options — a sweep's template exactly once — so transpile
+    and lowering amortise across repeated ``execute()`` calls and workers
+    never compile.  Payloads then come from one batched sweep evolution,
+    from the worker pool, or from serial :func:`element_payload` calls.
+    """
     start = time.perf_counter()
     backend = get_backend(options.backend)
-
-    if bindings is not None:
-        return _run_sweep(circuits[0], backend, options, bindings, start)
-
-    plan_capable = getattr(backend, "plan_mode", None) is not None
+    use_batched = bindings is not None and _use_batched_sweep(
+        circuits[0], backend, options
+    )
     reports = _circuit_reports(circuits, backend, options)
-    transpile_time = 0.0
-    compile_time = 0.0
-    if not plan_capable and (options.optimize or options.passes is not None):
-        # Protocol-only backends know nothing of plans: transpile here,
-        # then hand them pre-optimised circuits with optimisation off.
-        from repro.transpile import transpile
 
-        t0 = time.perf_counter()
-        circuits = [transpile(c, passes=options.passes) for c in circuits]
-        transpile_time = time.perf_counter() - t0
-    element_options = options.replace(optimize=False, passes=None)
+    plans = []
+    compile_time = transpile_time = 0.0
+    for circuit in circuits:
+        plan, element_compile, element_transpile = _compile_timed(
+            circuit, backend, options
+        )
+        compile_time += element_compile
+        transpile_time += element_transpile
+        plans.append(plan)
+    # A sweep runs its one template plan, and carries its one report
+    # (circuit + compiled-plan findings), at every point.
+    points: List[Optional[Dict[str, float]]] = (
+        [None] * len(plans) if bindings is None else list(bindings)
+    )
+    repeats = len(points) // len(plans)
+    element_plans = plans * repeats
+    diagnostics = None
+    if reports is not None:
+        from repro.analysis import verify_plan
 
-    for index, circuit in enumerate(circuits):
-        unbound = circuit.parameters()
-        if unbound:
-            raise ExecutionError(
-                f"circuit {index} still has unbound parameter(s) "
-                f"{[p.name for p in unbound]}; bind them or pass "
-                "parameter_sweep="
-            )
+        reports = [report + verify_plan(plan) for report, plan in zip(reports, plans)]
+        _enforce_validation(reports, options)
+        diagnostics = [tuple(report) for report in reports] * repeats
 
     workers = _effective_workers(options)
-    if plan_capable:
-        # Compile every element in the parent (through the plan cache)
-        # with the *full* options, so transpile + lowering amortise
-        # together across repeated execute() calls — workers never
-        # compile, whatever the worker count.
-        plans = []
-        for circuit in circuits:
-            plan, element_compile, element_transpile = _compile_timed(
-                circuit, backend, options
-            )
-            compile_time += element_compile
-            transpile_time += element_transpile
-            plans.append(plan)
-        if reports is not None:
-            from repro.analysis import verify_plan
+    if bindings is not None and use_batched:
+        payloads = _batched_payloads(plans[0], bindings, options, backend)
+    elif workers > 1 and len(points) > 1:
+        # Each plan pickles once; workers only bind/execute/sample.
+        # Per-element seeds derive from the element index, so the
+        # fan-out is results-invisible.
+        from repro.service.pool import dump_plan
 
-            reports = [
-                report + verify_plan(plan)
-                for report, plan in zip(reports, plans)
-            ]
-            _enforce_validation(reports, options)
-        result_circuits = [plan.circuit for plan in plans]
-        if workers > 1 and len(plans) > 1:
-            from repro.service.pool import dump_plan
-
-            blobs = [dump_plan(plan) for plan in plans]
-            payloads = _parallel_elements(
-                blobs, [None] * len(plans), options, backend, workers
-            )
-        else:
-            payloads = [
-                element_payload(
-                    plan, None, index, options, backend, workers=workers
-                )
-                for index, plan in enumerate(plans)
-            ]
+        blobs = [dump_plan(plan) for plan in plans] * repeats
+        payloads = _parallel_elements(blobs, points, options, backend, workers)
     else:
-        if reports is not None:
-            _enforce_validation(reports, options)
-        result_circuits = circuits
-        payloads = []
-        for index, circuit in enumerate(circuits):
-            t0 = time.perf_counter()
-            state = backend.run(circuit, options=element_options)
-            run_time = time.perf_counter() - t0
-            counts = memory = None
-            sample_time = 0.0
-            if options.shots:
-                t0 = time.perf_counter()
-                counts, memory = _sample(state, options, index, workers=workers)
-                sample_time = time.perf_counter() - t0
-            values = tuple(
-                expectation(state, observable)
-                for observable in options.observables
-            )
-            payloads.append(
-                {
-                    "index": index,
-                    "state": state,
-                    "counts": counts,
-                    "memory": memory,
-                    "values": values,
-                    "run_time_s": run_time,
-                    "sample_time_s": sample_time,
-                }
-            )
+        payloads = [
+            element_payload(plan, point, index, options, backend, workers=workers)
+            for index, (plan, point) in enumerate(zip(element_plans, points))
+        ]
 
     results: List[Result] = []
-    for payload, result_circuit in zip(payloads, result_circuits):
+    for payload, plan, point in zip(payloads, element_plans, points):
+        index = payload["index"]
         metadata = {
             "backend": backend.name,
-            "seed": derive_seed(options.seed, payload["index"]),
+            "seed": derive_seed(options.seed, index),
             "run_time_s": payload["run_time_s"],
             "sample_time_s": payload["sample_time_s"],
         }
         if "expectation_std" in payload:
             metadata["expectation_std"] = payload["expectation_std"]
-        if reports is not None:
-            metadata["diagnostics"] = tuple(reports[payload["index"]])
+        if diagnostics is not None:
+            metadata["diagnostics"] = diagnostics[index]
         results.append(
             Result(
-                result_circuit,
+                # Deferred for sweeps: Result.circuit binds on first
+                # access, so an N-point sweep does not pay N template
+                # re-binds just to fill a field most consumers never read.
+                plan.circuit
+                if point is None
+                else lambda bound=plan.circuit, point=point: bound.bind(point),
                 payload["state"],
                 counts=payload["counts"],
                 memory=payload["memory"],
                 observables=options.observables,
                 expectation_values=payload["values"],
-                parameters=None,
+                parameters=point,
                 metadata=metadata,
             )
         )
     if single:
         return results[0]
-    return BatchResult(
-        results,
-        metadata={
-            "backend": backend.name,
-            "workers": workers,
-            "transpile_time_s": transpile_time,
-            "plan_compile_time_s": compile_time,
-            "total_time_s": time.perf_counter() - start,
-        },
+    summary: Dict[str, Any] = {"backend": backend.name}
+    if bindings is not None:
+        summary["sweep_mode"] = "batched" if use_batched else "per_element"
+    summary.update(
+        workers=1 if use_batched else workers,
+        transpile_time_s=transpile_time,
+        plan_compile_time_s=compile_time,
+        total_time_s=time.perf_counter() - start,
     )
+    return BatchResult(results, metadata=summary)
 
 
 def submit(

@@ -2,9 +2,10 @@
 
 Before this layer existed, ``run()``, ``sample_counts()`` and the bench
 harness each restated the same growing keyword list by hand.  Every
-execution-shaped entry point — :func:`repro.execute`, the
-:class:`~repro.sim.Backend` protocol, the sampler — now accepts this one
-immutable object instead, so adding a knob is a one-place change.
+execution-shaped entry point — :func:`repro.execute`,
+:meth:`BaseBackend.run <repro.sim.BaseBackend.run>`, the sampler — now
+accepts this one immutable object instead, so adding a knob is a
+one-place change.
 
 Kept deliberately free of imports from the simulation stack: backends
 consume ``RunOptions`` (lazily imported at call time), so this module
@@ -63,8 +64,8 @@ class RunOptions:
     Parameters
     ----------
     backend:
-        Registered backend name, live backend instance, or ``None`` for
-        the default (``"statevector"``).
+        Registered backend name, :class:`~repro.sim.BaseBackend`
+        instance, or ``None`` for the default (``"statevector"``).
     shots:
         Measurement shots to sample per circuit; ``0`` (default) skips
         sampling entirely (``Result.counts`` is then ``None``).
@@ -79,8 +80,9 @@ class RunOptions:
         ``Pass`` objects); implies optimisation.
     noise_model:
         Declarative :class:`~repro.noise.NoiseModel`.  Gate-noise rules
-        require the density-matrix backend; readout error composes with
-        any backend at sampling time.
+        need a backend that represents them (``density_matrix`` and
+        ``ptm`` exactly, ``trajectory`` by sampling); readout error
+        composes with any backend at sampling time.
     observables:
         :class:`~repro.observables.Pauli` / ``PauliSum`` observables to
         evaluate on each final state (a single observable is accepted

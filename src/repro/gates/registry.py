@@ -8,9 +8,6 @@ gate *representation* (the unitary matrix).  Builders are plain functions
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from typing import Callable, Dict, Tuple
 
 import numpy as np
@@ -18,6 +15,7 @@ import numpy as np
 from repro.circuit.gate import Gate
 from repro.circuit.parameter import Parameter
 from repro.utils.exceptions import CircuitError
+from repro.utils.lru import LRUCache
 
 MatrixBuilder = Callable[..., np.ndarray]
 # Maps a gate's bound params to the (name, params) of its registered adjoint.
@@ -25,23 +23,10 @@ InverseRule = Callable[..., Tuple[str, Tuple[float, ...]]]
 
 _REGISTRY: Dict[str, Tuple[int, int, MatrixBuilder, "InverseRule | None"]] = {}
 # LRU-bounded: variational workloads construct gates with ever-fresh angles,
-# so an uncapped cache would grow for the life of the process.  Lookup,
-# insert and evict hold the lock (dispatcher threads and plan binding
-# build gates concurrently); gates are built outside it.
-_GATE_CACHE: "OrderedDict[Tuple[str, Tuple[float, ...]], Gate]" = OrderedDict()
-_GATE_CACHE_MAX = 4096
-_GATE_CACHE_LOCK = threading.Lock()
-
-
-def _reset_gate_cache_lock() -> None:
-    # Pool workers are forked and build gates in plan.bind; a lock held
-    # by a parent thread at fork time would never be released there.
-    global _GATE_CACHE_LOCK
-    _GATE_CACHE_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_gate_cache_lock)
+# so an uncapped cache would grow for the life of the process.  Dispatcher
+# threads and plan binding build gates concurrently; gates are built
+# outside the cache lock, and racing threads share the first one stored.
+_GATE_CACHE: "LRUCache[Gate]" = LRUCache(4096)
 
 
 def register_gate(
@@ -124,22 +109,13 @@ def get_gate(name: str, *params: "float | Parameter") -> Gate:
         p if isinstance(p, Parameter) else float(p) for p in params
     )
     cache_key = (key, bound)
-    with _GATE_CACHE_LOCK:
-        gate = _GATE_CACHE.get(cache_key)
-        if gate is not None:
-            _GATE_CACHE.move_to_end(cache_key)
-            return gate
+    gate = _GATE_CACHE.get(cache_key)
+    if gate is not None:
+        return gate
     if any(isinstance(p, Parameter) for p in bound):
         # Deferred gate: identity is (name, params) as usual, the
         # matrix build waits for Circuit.bind to re-resolve here.
         built = Gate(key, num_qubits, None, bound)
     else:
         built = Gate(key, num_qubits, builder(*bound), bound)
-    with _GATE_CACHE_LOCK:
-        # A racing thread may have inserted the same gate meanwhile;
-        # every caller then shares the first one.
-        gate = _GATE_CACHE.setdefault(cache_key, built)
-        _GATE_CACHE.move_to_end(cache_key)
-        while len(_GATE_CACHE) > _GATE_CACHE_MAX:
-            _GATE_CACHE.popitem(last=False)
-    return gate
+    return _GATE_CACHE.put(cache_key, built)

@@ -1,8 +1,8 @@
 """The process-wide :class:`~repro.plan.ExecutionPlan` cache.
 
-``execute()`` and ``Backend.run()`` both compile through here, so running
-the same circuit twice — or sweeping a parametric template whose plan was
-compiled last call — skips transpilation and lowering entirely.
+``execute()`` and ``BaseBackend.run()`` both compile through here, so
+running the same circuit twice — or sweeping a parametric template whose
+plan was compiled last call — skips transpilation and lowering entirely.
 
 Keying: a plan is identified by the *content* of the circuit (its
 width, its classical-register width, and its instruction tuple, which
@@ -18,46 +18,26 @@ to honour the :class:`~repro.transpile.Pass` purity contract (same pass,
 same rewrite); noise-model rule *additions* change the rule count and
 miss naturally.
 
-The cache is LRU-bounded and instrumented: :func:`plan_cache_info`
-exposes hits/misses/size for tests, benchmarks, and capacity planning.
-
-All entry points take a module lock: the async execution service compiles
-plans from dispatcher threads while user code compiles on the main thread,
-and an unguarded ``move_to_end``/eviction race corrupts the OrderedDict.
-The lock is process-local — worker processes get their own (empty) cache,
-which is why the parent ships *compiled* plans to workers instead of
-letting them compile — and is re-created in forked children, which could
-otherwise inherit it held by a parent thread that does not exist there.
+The cache is a locked :class:`~repro.utils.lru.LRUCache`, because the
+async execution service compiles plans from dispatcher threads while
+user code compiles on the main thread; :func:`plan_cache_info` exposes
+its hits/misses/size for tests, benchmarks, and capacity planning.  It
+is process-local: worker processes get their own (empty) cache, which is
+why the parent ships *compiled* plans to workers instead of letting them
+compile.
 """
 
 from __future__ import annotations
 
-import os
-import threading
-from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Optional
+
+from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:
     from repro.circuit import Circuit
     from repro.execution.options import RunOptions
     from repro.noise import NoiseModel
     from repro.plan.plan import ExecutionPlan
-
-_MAXSIZE = 64
-
-_LOCK = threading.Lock()
-_CACHE: "OrderedDict[tuple, _Entry]" = OrderedDict()
-_HITS = 0
-_MISSES = 0
-
-
-def _reset_lock() -> None:
-    global _LOCK
-    _LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_lock)
 
 
 class _Entry:
@@ -138,48 +118,32 @@ def plan_key(
     )
 
 
+_CACHE: "LRUCache[_Entry]" = LRUCache(64)
+
+
 def cache_get(key: tuple) -> Optional["ExecutionPlan"]:
     """The cached plan for ``key``, or ``None`` (counted either way)."""
-    global _HITS, _MISSES
-    with _LOCK:
-        entry = _CACHE.get(key)
-        if entry is None:
-            _MISSES += 1
-            return None
-        _CACHE.move_to_end(key)
-        _HITS += 1
-        return entry.plan
+    entry = _CACHE.get(key)
+    return None if entry is None else entry.plan
 
 
-def cache_put(key: tuple, options: "RunOptions", plan: "ExecutionPlan") -> None:
+def cache_put(
+    key: tuple, options: "RunOptions", plan: "ExecutionPlan"
+) -> "ExecutionPlan":
     """Insert ``plan`` under ``key``, evicting the least recently used entry.
 
     ``options`` supplies the pass and noise objects whose ids the key
-    holds; the entry pins them.
+    holds; the entry pins them.  Returns the cached plan: when two
+    threads compile the same circuit at once, both get the first one.
     """
-    entry = _Entry(plan, options.noise_model, options.passes)
-    with _LOCK:
-        _CACHE[key] = entry
-        _CACHE.move_to_end(key)
-        while len(_CACHE) > _MAXSIZE:
-            _CACHE.popitem(last=False)
+    return _CACHE.put(key, _Entry(plan, options.noise_model, options.passes)).plan
 
 
 def plan_cache_info() -> Dict[str, int]:
     """Cache counters: ``{"hits", "misses", "size", "maxsize"}``."""
-    with _LOCK:
-        return {
-            "hits": _HITS,
-            "misses": _MISSES,
-            "size": len(_CACHE),
-            "maxsize": _MAXSIZE,
-        }
+    return _CACHE.info()
 
 
 def clear_plan_cache() -> None:
     """Drop every cached plan and reset the hit/miss counters."""
-    global _HITS, _MISSES
-    with _LOCK:
-        _CACHE.clear()
-        _HITS = 0
-        _MISSES = 0
+    _CACHE.clear()

@@ -50,10 +50,7 @@ the static fast path.
 from __future__ import annotations
 
 import contextlib
-import os
-import threading
 import time
-from collections import OrderedDict
 from typing import (
     TYPE_CHECKING,
     Any,
@@ -72,6 +69,7 @@ import numpy as np
 from repro.circuit import Circuit, Parameter
 from repro.circuit.ptm import kraus_to_ptm
 from repro.utils.exceptions import SimulationError
+from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:
     from repro.circuit.circuit import CircuitStats
@@ -266,26 +264,9 @@ class DensityKrausOp:
 # lowerings share one U·U† conjugation instead of recomputing it per
 # instruction.  The matrix bytes are part of the key because (name,
 # params) does not determine the unitary for ad-hoc gates — every
-# transpile-fused block is named "unitary" with no params.  Dispatcher
-# threads lower concurrently, so lookup, insert and evict hold the lock;
-# a PTM is built outside it (two racing threads may both build one, and
-# both then share the first inserted).
-_GATE_PTM_CACHE: "OrderedDict[Tuple[str, Tuple[float, ...], bytes], np.ndarray]" = (
-    OrderedDict()
-)
-_GATE_PTM_CACHE_MAX = 4096
-_GATE_PTM_LOCK = threading.Lock()
-
-
-def _reset_gate_ptm_lock() -> None:
-    # A fork can land while another thread holds the lock; the child
-    # would inherit it locked with no thread left to release it.
-    global _GATE_PTM_LOCK
-    _GATE_PTM_LOCK = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_reset_gate_ptm_lock)
+# transpile-fused block is named "unitary" with no params.  A PTM is
+# built outside the cache lock; racing threads share the first one stored.
+_GATE_PTM_CACHE: "LRUCache[np.ndarray]" = LRUCache(4096)
 
 
 def _gate_ptm(
@@ -296,19 +277,12 @@ def _gate_ptm(
         tuple(float(p) for p in params),
         np.ascontiguousarray(matrix).tobytes(),
     )
-    with _GATE_PTM_LOCK:
-        cached = _GATE_PTM_CACHE.get(key)
-        if cached is not None:
-            _GATE_PTM_CACHE.move_to_end(key)
-            return cached
+    cached = _GATE_PTM_CACHE.get(key)
+    if cached is not None:
+        return cached
     built = kraus_to_ptm((matrix,), num_qubits)
     built.setflags(write=False)
-    with _GATE_PTM_LOCK:
-        ptm = _GATE_PTM_CACHE.setdefault(key, built)
-        _GATE_PTM_CACHE.move_to_end(key)
-        while len(_GATE_PTM_CACHE) > _GATE_PTM_CACHE_MAX:
-            _GATE_PTM_CACHE.popitem(last=False)
-    return ptm
+    return _GATE_PTM_CACHE.put(key, built)
 
 
 class PTMOp:
@@ -1192,9 +1166,10 @@ def compile_plan(
     circuit:
         The circuit (possibly parametric) to lower; never mutated.
     backend:
-        Registered backend name, live backend instance, or ``None`` for
-        the default.  The backend's ``plan_mode`` selects the lowering
-        and its ``dtype`` the op-tensor precision.
+        Registered backend name, :class:`~repro.sim.BaseBackend`
+        instance, or ``None`` for the default.  The backend's
+        ``plan_mode`` selects the lowering and its ``dtype`` the
+        op-tensor precision.
     options:
         A :class:`~repro.execution.RunOptions` (``None`` for defaults);
         ``optimize`` / ``passes`` / ``noise_model`` participate in the
@@ -1217,22 +1192,18 @@ def compile_plan(
         raise SimulationError(
             f"options must be RunOptions, got {type(options).__name__}"
         )
-    if backend is None or isinstance(backend, str):
-        from repro.sim.registry import get_backend
+    from repro.sim.registry import get_backend
 
-        backend = get_backend(backend)
-    mode = getattr(backend, "plan_mode", None)
+    backend = get_backend(backend)
+    mode = backend.plan_mode
     if mode not in (STATEVECTOR, DENSITY, TRAJECTORY, PTM):
         raise SimulationError(
-            f"backend {getattr(backend, 'name', backend)!r} does not "
-            "declare a plan_mode; only plan-capable backends can compile "
-            "ExecutionPlans"
+            f"backend {backend.name!r} does not declare a plan_mode; "
+            "only backends with a lowering mode can compile ExecutionPlans"
         )
-    validate_noise = getattr(backend, "_validate_noise", None)
-    if validate_noise is not None:
-        validate_noise(options.noise_model)
-    dtype = np.dtype(getattr(backend, "dtype", np.complex128))
-    backend_name = getattr(backend, "name", type(backend).__name__)
+    backend._validate_noise(options.noise_model)
+    dtype = np.dtype(backend.dtype)
+    backend_name = backend.name
 
     if use_cache:
         key = plan_key(circuit, backend_name, mode, dtype, options)
@@ -1302,5 +1273,5 @@ def compile_plan(
     for hook in tuple(_LOWER_HOOKS):
         hook(circuit, plan)
     if use_cache:
-        cache_put(key, options, plan)
+        return cache_put(key, options, plan)
     return plan

@@ -12,15 +12,16 @@ noiseless mixed-state run reproduces the statevector backend's counts
 exactly under the same seed.
 
 Noise: a :class:`~repro.noise.NoiseModel` passed as ``noise_model=``
-applies its gate channels during simulation (circuit sources only; this
-requires the density-matrix backend) and its classical readout error to
-the probability vector just before the draw.
+applies its gate channels during simulation (circuit sources only, on a
+backend that represents mixed states: ``density_matrix`` or ``ptm``) and
+its classical readout error to the probability vector just before the
+draw.
 
 Reproducibility contract: an integer ``seed`` plus a ``repetition`` index is
 mixed through :func:`repro.utils.rng.derive_seed`, so repeated runs of the
 same ``(seed, repetition)`` return identical results while different
 repetitions get independent streams — regardless of the order in which they
-execute (see ``repro.parallel``, future work).
+execute, or on which worker process (see :mod:`repro.service`).
 
 This module is also the sampling primitive of the execution layer:
 :func:`repro.execute` draws through the same
@@ -177,8 +178,9 @@ def sample_counts(
         ``"statevector"``); ignored when ``source`` is a state.
     noise_model:
         Optional :class:`~repro.noise.NoiseModel`: gate channels applied
-        during simulation (circuit sources, density-matrix backend),
-        readout error applied to the probabilities before drawing.
+        during simulation (circuit sources, ``density_matrix`` or ``ptm``
+        backend), readout error applied to the probabilities before
+        drawing.
     """
     state, rng, probs = _prepare(source, shots, seed, repetition, backend, noise_model)
     return counts_from_probabilities(probs, shots, rng, state.num_qubits)

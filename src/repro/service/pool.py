@@ -29,12 +29,12 @@ import hashlib
 import os
 import pickle
 import threading
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.utils.exceptions import ExecutionError, ParallelExecutionError
+from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:
     from repro.execution.options import RunOptions
@@ -131,8 +131,7 @@ def run_tasks(
 # worker side
 # ----------------------------------------------------------------------
 
-_PLAN_CACHE: "OrderedDict[bytes, Any]" = OrderedDict()
-_PLAN_CACHE_MAX = 16
+_PLAN_CACHE: "LRUCache[ExecutionPlan]" = LRUCache(16)
 
 
 def dump_plan(plan: "ExecutionPlan") -> bytes:
@@ -149,13 +148,8 @@ def load_plan(blob: bytes) -> "ExecutionPlan":
     """Unpickle a plan at most once per worker process (digest-keyed)."""
     key = hashlib.sha1(blob).digest()
     plan = _PLAN_CACHE.get(key)
-    if plan is not None:
-        _PLAN_CACHE.move_to_end(key)
-        return plan
-    plan = pickle.loads(blob)
-    _PLAN_CACHE[key] = plan
-    while len(_PLAN_CACHE) > _PLAN_CACHE_MAX:
-        _PLAN_CACHE.popitem(last=False)
+    if plan is None:
+        plan = _PLAN_CACHE.put(key, pickle.loads(blob))
     return plan
 
 

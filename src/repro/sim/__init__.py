@@ -1,7 +1,8 @@
 """Simulation backends behind a unified registry.
 
 Four shipped backends, selected by name through :func:`get_backend` (or
-the ``backend=`` argument of :func:`run` and the sampling layer):
+the ``backend=`` argument of :func:`run`, :func:`repro.execute` and the
+sampling layer):
 
 * ``"statevector"`` — pure states as ``(2,) * n`` tensors; gates applied
   by ``numpy.tensordot`` contraction, never ``2**n x 2**n`` operators.
@@ -17,13 +18,12 @@ the ``backend=`` argument of :func:`run` and the sampling layer):
   each other at lowering time, making it the fast exact engine for noisy
   circuits (no dynamic ops).
 
-User backends implementing the :class:`Backend` protocol join via
+User backends subclass :class:`BaseBackend` and join via
 :func:`register_backend`.
 """
 
 from repro.sim.statevector import Statevector, norm_atol
 from repro.sim.registry import (
-    Backend,
     BaseBackend,
     available_backends,
     get_backend,
@@ -41,7 +41,6 @@ from repro.sim.ptm import PauliVector, PTMBackend
 from repro.sim.trajectory import TrajectoryBackend
 
 __all__ = [
-    "Backend",
     "BaseBackend",
     "DensityMatrix",
     "DensityMatrixBackend",

@@ -1,80 +1,48 @@
-"""Backend contract and the name -> backend registry.
+"""The backend base class and the name -> backend registry.
 
-Every simulator exposes the same :class:`Backend` surface —
-``run(circuit, initial_state=None, options=None)`` taking a single
-:class:`~repro.execution.RunOptions` object and returning a state with
-``num_qubits`` and ``probabilities()`` — so the execution layer, sampler
-and bench harness dispatch by *name* through :func:`get_backend` instead
-of hard-coding a backend class.  Backends register themselves at import
-time (``repro.sim`` imports both shipped backends), and user backends
-join via :func:`register_backend`.
+Every simulator is a :class:`BaseBackend` subclass exposing the same
+``run(circuit, initial_state=None, options=None)`` surface, taking a
+single :class:`~repro.execution.RunOptions` object and returning a state
+with ``num_qubits`` and ``probabilities()``.  The execution layer,
+sampler and bench harness therefore dispatch by *name* through
+:func:`get_backend` instead of hard-coding a backend class.  Backends
+register themselves at import time (``repro.sim`` imports the four
+shipped backends), and user backends join via :func:`register_backend`.
 
-:class:`BaseBackend` implements that ``run()`` once — option resolution,
-legacy-keyword shimming, unbound-parameter rejection, compilation to an
-:class:`~repro.plan.ExecutionPlan`, and the shared plan-execution loop
-(:meth:`BaseBackend.execute_plan`) — so concrete backends only provide
-their state-representation hooks: :attr:`~BaseBackend.plan_mode`,
-``_initial_tensor``, ``_finalize`` (and optionally a noise validation
-hook).  The shipped backends share the *identical* ``run`` and
-``execute_plan`` method objects; each contract is stated exactly once.
-
-A third-party backend does not have to subclass :class:`BaseBackend`:
-anything satisfying the :class:`Backend` protocol (``name`` + ``run``)
-registers and serves ``run``/``sample_counts``/``execute`` — including
-parameter sweeps, which fall back to one transpile plus ``bind()+run()``
-per point.  Plan compilation, the plan cache, and batched sweeps are
-reserved for plan-capable backends (those declaring ``plan_mode``).
+:class:`BaseBackend` implements that ``run()`` once — unbound-parameter
+rejection, compilation to an :class:`~repro.plan.ExecutionPlan`, and the
+shared plan-execution loop (:meth:`BaseBackend.execute_plan`) — so
+concrete backends only provide their state-representation hooks:
+:attr:`~BaseBackend.plan_mode`, ``_initial_tensor``, ``_finalize`` (and
+optionally a noise validation hook).  The shipped backends share the
+*identical* ``run`` and ``execute_plan`` method objects; each contract
+is stated exactly once.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import (
     TYPE_CHECKING,
     Any,
     Callable,
     Dict,
     Optional,
-    Protocol,
     Sequence,
     Union,
-    runtime_checkable,
 )
 
 import numpy as np
 
 from repro.circuit import Circuit
-from repro.execution.options import resolve_sanitize_mode
+from repro.execution.options import RunOptions, resolve_sanitize_mode
 from repro.utils.exceptions import SimulationError
 
 if TYPE_CHECKING:
     from repro.analysis.sanitize import Sanitizer
-    from repro.execution.options import RunOptions
     from repro.noise import NoiseModel
     from repro.plan.plan import ExecutionPlan
 
 DEFAULT_BACKEND = "statevector"
-
-_LEGACY_RUN_KWARGS_MESSAGE = (
-    "the optimize=/passes=/noise_model= keywords of run() are deprecated; "
-    "pass a RunOptions (options=RunOptions(optimize=..., passes=..., "
-    "noise_model=...)) or use repro.execute()"
-)
-
-
-@runtime_checkable
-class Backend(Protocol):
-    """Structural contract every simulation backend satisfies."""
-
-    name: str
-
-    def run(
-        self,
-        circuit: Circuit,
-        initial_state: Any = None,
-        options: Optional["RunOptions"] = None,
-    ) -> Any:  # pragma: no cover - protocol signature only
-        ...
 
 
 class BaseBackend:
@@ -84,7 +52,8 @@ class BaseBackend:
     circuit into an :class:`~repro.plan.ExecutionPlan` (through the
     process-wide plan cache) and hands it to :meth:`execute_plan`, whose
     op loop is shared by every backend.  Subclasses set :attr:`name` and
-    :attr:`plan_mode` and implement only the state-representation hooks:
+    :attr:`plan_mode` (and :attr:`dtype` when it is not ``complex128``)
+    and implement only the state-representation hooks:
     ``_initial_tensor(num_qubits, initial_state)`` (allocate/convert the
     starting tensor — a fresh array, since the loop evolves it in place)
     and ``_finalize(tensor, num_qubits)`` (wrap the evolved tensor in the
@@ -94,67 +63,45 @@ class BaseBackend:
     """
 
     name = "base"
-    # "statevector" or "density": selects the repro.plan lowering mode.
-    # Concrete subclasses MUST declare it (compile_plan rejects backends
-    # without one, loudly, instead of guessing a state representation).
-    plan_mode = None
+    # "statevector", "density", "trajectory" or "ptm": selects the
+    # repro.plan lowering mode.  Concrete subclasses MUST declare it
+    # (compile_plan rejects backends without one, loudly, instead of
+    # guessing a state representation).
+    plan_mode: Optional[str] = None
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The op-tensor precision :func:`~repro.plan.compile_plan` lowers to."""
+        return np.dtype(np.complex128)
 
     def run(
         self,
         circuit: Circuit,
         initial_state: Any = None,
-        options: Optional["RunOptions"] = None,
-        *,
-        optimize: bool = False,
-        passes: Any = None,
-        noise_model: Optional["NoiseModel"] = None,
+        options: Optional[RunOptions] = None,
     ) -> Any:
         """Simulate ``circuit`` from ``initial_state`` under ``options``.
 
-        ``options`` is a :class:`~repro.execution.RunOptions`; the
-        ``optimize`` / ``passes`` / ``noise_model`` keywords are the
-        legacy pre-options surface — **deprecated**, accepted only when
-        ``options`` is not given (the two spellings must not be mixed),
-        and emitting a :class:`DeprecationWarning` when used.
+        ``options`` is a :class:`~repro.execution.RunOptions` (``None``
+        for the defaults).
         """
-        from repro.execution.options import RunOptions
-
-        if not isinstance(circuit, Circuit):
-            raise SimulationError(
-                f"expected a Circuit, got {type(circuit).__name__}"
-            )
-        if options is None:
-            if optimize or passes is not None or noise_model is not None:
-                warnings.warn(
-                    _LEGACY_RUN_KWARGS_MESSAGE, DeprecationWarning, stacklevel=2
-                )
-            options = RunOptions(
-                optimize=optimize, passes=passes, noise_model=noise_model
-            )
-        else:
-            if optimize or passes is not None or noise_model is not None:
-                raise SimulationError(
-                    "pass either options= or the legacy optimize/passes/"
-                    "noise_model keywords, not both"
-                )
-            if not isinstance(options, RunOptions):
-                raise SimulationError(
-                    f"options must be RunOptions, got {type(options).__name__}"
-                )
-        self._validate_noise(options.noise_model)
-        unbound = circuit.parameters()
-        if unbound:
-            raise SimulationError(
-                f"circuit has unbound parameter(s) "
-                f"{[p.name for p in unbound]}; bind them (Circuit.bind) or "
-                "run a parameter sweep through repro.execute"
-            )
         # Imported lazily: the plan layer consumes the same circuit IR
         # this backend executes, and a module-level import either way
         # would create a cycle (compile_plan resolves backends by name).
         from repro.plan import compile_plan
 
+        if options is None:
+            options = RunOptions()
+        # compile_plan type-checks the circuit and the options and
+        # validates the noise; a parametric circuit compiles to a plan
+        # with open slots, which run() cannot execute.
         plan = compile_plan(circuit, self, options)
+        if plan.parameters:
+            raise SimulationError(
+                f"circuit has unbound parameter(s) "
+                f"{[p.name for p in plan.parameters]}; bind them "
+                "(Circuit.bind) or run a parameter sweep through repro.execute"
+            )
         rng = None
         if plan.has_dynamic_ops and plan.mode != "density":
             # A direct run() of a dynamic circuit on a pure-state backend
@@ -334,13 +281,13 @@ def _contract_ops(
     return a
 
 
-BackendLike = Union[None, str, Backend]
+BackendLike = Union[None, str, BaseBackend]
 
-_FACTORIES: Dict[str, Callable[[], Backend]] = {}
-_INSTANCES: Dict[str, Backend] = {}
+_FACTORIES: Dict[str, Callable[[], BaseBackend]] = {}
+_INSTANCES: Dict[str, BaseBackend] = {}
 
 
-def register_backend(name: str, factory: Callable[[], Backend]) -> None:
+def register_backend(name: str, factory: Callable[[], BaseBackend]) -> None:
     """Register ``factory`` as the constructor for backend ``name``.
 
     The factory is called lazily, once, on the first :func:`get_backend`
@@ -363,14 +310,13 @@ def available_backends() -> "tuple[str, ...]":
     return tuple(sorted(_FACTORIES))
 
 
-def get_backend(backend: BackendLike = None) -> Backend:
+def get_backend(backend: BackendLike = None) -> BaseBackend:
     """Resolve ``backend`` to a live backend instance.
 
     ``None`` means the default (``"statevector"``); a string is looked up
-    in the registry (case-insensitively); an object that already quacks
-    like a backend (has ``run`` and ``name``) is passed through so
-    callers can hand in a specially configured instance (e.g. a
-    ``complex64`` backend).
+    in the registry (case-insensitively); a :class:`BaseBackend` instance
+    is passed through so callers can hand in a specially configured one
+    (e.g. a ``complex64`` backend).
     """
     if backend is None:
         backend = DEFAULT_BACKEND
@@ -384,53 +330,33 @@ def get_backend(backend: BackendLike = None) -> Backend:
         if key not in _INSTANCES:
             _INSTANCES[key] = _FACTORIES[key]()
         return _INSTANCES[key]
-    if callable(getattr(backend, "run", None)) and hasattr(backend, "name"):
+    if isinstance(backend, BaseBackend):
         return backend
     raise SimulationError(
         f"cannot resolve a backend from {type(backend).__name__}; "
-        "pass a name, a backend instance, or None"
+        "pass a name, a BaseBackend instance, or None"
     )
 
 
 def run(
     circuit: Circuit,
     initial_state: Any = None,
-    optimize: bool = False,
-    passes: Any = None,
     backend: BackendLike = None,
-    noise_model: Optional["NoiseModel"] = None,
-    options: Optional["RunOptions"] = None,
+    options: Optional[RunOptions] = None,
 ) -> Any:
     """Simulate ``circuit`` on ``backend`` (default ``"statevector"``).
 
-    A thin shim over the unified backend surface, kept for the original
-    kwarg-style call sites: the keywords are folded into a
-    :class:`~repro.execution.RunOptions` (or ``options=`` is forwarded
-    as-is) and dispatched to ``Backend.run``.  The ``optimize`` /
-    ``passes`` / ``noise_model`` keywords are **deprecated** (a
-    :class:`DeprecationWarning` fires); ``backend=`` remains supported.
-    Returns whatever state type the backend produces
-    (:class:`~repro.sim.Statevector` or :class:`~repro.sim.DensityMatrix`).
+    ``options`` is a :class:`~repro.execution.RunOptions`; the backend
+    comes from ``backend=`` or ``options.backend``, never both.  Returns
+    whatever state type the backend produces (for example a
+    :class:`~repro.sim.Statevector` or :class:`~repro.sim.DensityMatrix`).
     New code wanting counts or expectation values should prefer
     :func:`repro.execute`.
     """
-    from repro.execution.options import RunOptions
-
     if options is None:
-        if optimize or passes is not None or noise_model is not None:
-            warnings.warn(
-                _LEGACY_RUN_KWARGS_MESSAGE, DeprecationWarning, stacklevel=2
-            )
-        options = RunOptions(
-            optimize=optimize, passes=passes, noise_model=noise_model
-        )
-    elif optimize or passes is not None or noise_model is not None:
-        raise SimulationError(
-            "pass either options= or the legacy optimize/passes/"
-            "noise_model keywords, not both"
-        )
+        options = RunOptions()
     elif backend is not None and options.backend is not None:
-        # Same rule as the other duplicated knobs: never silently pick one.
+        # Never silently pick one of two backends.
         raise SimulationError(
             "backend is specified both as a keyword and in options; "
             "pass it in one place only"

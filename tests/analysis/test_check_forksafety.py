@@ -71,6 +71,30 @@ class TestModuleRng:
         assert _check_source(lint, tmp_path, source) == []
 
 
+class TestModuleCache:
+    def test_module_level_ordered_dict_is_flagged(self, lint, tmp_path):
+        source = (
+            "from collections import OrderedDict\n"
+            "_CACHE = OrderedDict()\n"
+            "_TYPED: 'OrderedDict[str, int]' = OrderedDict()\n"
+        )
+        violations = _check_source(lint, tmp_path, source)
+        assert len(violations) == 2
+        assert all("fork-module-cache" in v for v in violations)
+        assert "LRUCache" in violations[0]
+
+    def test_lru_cache_and_local_ordered_dict_are_fine(self, lint, tmp_path):
+        source = (
+            "from collections import OrderedDict\n"
+            "from repro.utils.lru import LRUCache\n"
+            "_CACHE = LRUCache(16)\n"
+            "def order(items):\n"
+            "    seen = OrderedDict()\n"
+            "    return seen\n"
+        )
+        assert _check_source(lint, tmp_path, source) == []
+
+
 class TestClosureTasks:
     def test_lambda_submit_is_flagged(self, lint, tmp_path):
         source = (

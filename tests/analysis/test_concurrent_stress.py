@@ -171,8 +171,8 @@ class TestGateCachesUnderThreads:
     THREADS = 8
 
     def test_sixteen_threads_with_tiny_caps_all_survive(self, monkeypatch):
-        monkeypatch.setattr(gate_registry, "_GATE_CACHE_MAX", 8)
-        monkeypatch.setattr(plan_module, "_GATE_PTM_CACHE_MAX", 8)
+        monkeypatch.setattr(gate_registry._GATE_CACHE, "maxsize", 8)
+        monkeypatch.setattr(plan_module._GATE_PTM_CACHE, "maxsize", 8)
         angles = [0.1 * (i + 1) for i in range(12)]
         matrices = [get_gate("ry", theta).matrix for theta in angles]
         errors = []
@@ -220,9 +220,9 @@ class TestGateCachesUnderThreads:
         # cache lock; the child must not inherit it held.
         def locks():
             return (
-                gate_registry._GATE_CACHE_LOCK,
-                plan_module._GATE_PTM_LOCK,
-                plan_cache._LOCK,
+                gate_registry._GATE_CACHE._lock,
+                plan_module._GATE_PTM_CACHE._lock,
+                plan_cache._CACHE._lock,
             )
 
         held = locks()

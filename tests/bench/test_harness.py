@@ -489,7 +489,17 @@ class TestCli:
         assert report["sweep"]["transpile_calls"] == 1
         assert report["sweep"]["reproducible"] is True
 
-    def test_main_json_smoke_parallel(self, capsys):
+    @pytest.fixture()
+    def one_cpu(self, monkeypatch):
+        # The parallel-speedup gate applies on >= 2 CPUs only.  Smoke
+        # timings on a shared host say nothing about the code, so these
+        # in-process legs check the parity booleans and leave the gate to
+        # test_main_fails_when_parallel_is_slower and to CI's bench-smoke.
+        import repro.bench.harness as harness
+
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: 1)
+
+    def test_main_json_smoke_parallel(self, capsys, one_cpu):
         # The CI parallel leg, in-process: both legs present, parity
         # booleans green, and the exit code reflects them.
         exit_code = main(
@@ -502,12 +512,29 @@ class TestCli:
         assert report["parallel"]["sweep"]["results_match"] is True
         assert report["parallel"]["sharded_shots"]["counts_match"] is True
 
-    def test_main_parallel_table_line(self, capsys):
+    def test_main_parallel_table_line(self, capsys, one_cpu):
         exit_code = main(["--smoke", "--parallel", "--shots", "64"])
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "parallel/sweep" in out
         assert "parallel/shards" in out
+
+    def test_main_fails_when_parallel_is_slower(self, capsys, monkeypatch):
+        import repro.bench.__main__ as cli
+
+        def slow_parallel_suite(*args, **kwargs):
+            report = run_suite(*args, **kwargs)
+            report["parallel"]["cpu_count"] = 2
+            for leg in ("sweep", "sharded_shots"):
+                report["parallel"][leg]["parallel_speedup"] = 0.5
+            return report
+
+        monkeypatch.setattr(cli, "run_suite", slow_parallel_suite)
+        exit_code = main(["--smoke", "--parallel", "--shots", "64"])
+        assert exit_code == 1
+        err = capsys.readouterr().err
+        assert "parallel sweep is slower than serial" in err
+        assert "parallel sharded shots is slower than serial" in err
 
     def test_main_density_backend_full_size_refused_cleanly(self, capsys):
         # --backend density_matrix without --smoke targets n=16 workloads:

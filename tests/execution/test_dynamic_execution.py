@@ -9,12 +9,17 @@ import pytest
 from repro import (
     Circuit,
     Instruction,
+    NoiseModel,
     Parameter,
     Pauli,
+    ReadoutError,
     RunOptions,
+    derive_seed,
+    ensure_rng,
     execute,
 )
 from repro.gates import get_gate
+from repro.sampling.sampler import counts_from_probabilities
 from repro.utils.exceptions import ExecutionError
 
 THETA = 0.731
@@ -67,6 +72,59 @@ class TestTeleportation:
         assert set(result.counts) == {"00", "01", "10", "11"}
         for key in result.counts:
             assert result.counts[key] / 4000 == pytest.approx(0.25, abs=0.05)
+
+
+class TestDensityReadoutRules:
+    """Where the density backend applies readout error to dynamic circuits.
+
+    Each test compares the counts with one seeded draw from the exact
+    probability vector the rule prescribes: element 0 samples from
+    ``derive_seed(seed, 0)``.
+    """
+
+    SHOTS = 4000
+    SEED = 11
+    READOUT = ReadoutError(0.2, 0.3)
+
+    def _expected(self, probs, num_bits):
+        rng = ensure_rng(derive_seed(self.SEED, 0))
+        return counts_from_probabilities(probs, self.SHOTS, rng, num_bits)
+
+    def _run(self, circuit):
+        model = NoiseModel().set_readout_error(self.READOUT)
+        return execute(
+            circuit,
+            RunOptions(
+                backend="density_matrix",
+                shots=self.SHOTS,
+                seed=self.SEED,
+                noise_model=model,
+            ),
+        )
+
+    def test_clbit_counts_come_from_exact_distribution_without_readout(self):
+        # clbit 0 reads ry(theta)|0> (1 with probability sin^2(theta/2));
+        # clbit 1 reads x|0>, always 1.  Readout error would flip it.
+        circuit = (
+            Circuit(2, num_clbits=2).ry(THETA, 0).x(1).measure(0, 0).measure(1, 1)
+        )
+        p1 = math.sin(THETA / 2) ** 2
+        exact = np.array([0.0, 1.0 - p1, 0.0, p1])
+        counts = self._run(circuit).counts
+        assert counts.num_qubits == 2
+        assert set(counts) <= {"01", "11"}
+        assert counts == self._expected(exact, 2)
+
+    def test_reset_only_circuit_samples_qubits_with_readout(self):
+        # No clbits: counts sample the qubits, readout error applied.
+        # Qubit 1 is reset to |0>, so "01" and "11" come from readout only.
+        circuit = Circuit(2).h(0).x(1).reset(1)
+        exact = np.array([0.5, 0.0, 0.5, 0.0])
+        corrupted = self.READOUT.apply(exact, 2)
+        counts = self._run(circuit).counts
+        assert counts.num_qubits == 2
+        assert counts.get("01", 0) > 0 and counts.get("11", 0) > 0
+        assert counts == self._expected(corrupted / corrupted.sum(), 2)
 
 
 class TestClassicalMemory:

@@ -16,7 +16,7 @@ from repro import (
 )
 from repro.execution import submit
 from repro.transpile import Pass
-from repro.utils.exceptions import ExecutionError
+from repro.utils.exceptions import ExecutionError, SimulationError
 
 
 def _bell() -> Circuit:
@@ -432,57 +432,17 @@ class TestSweepModes:
 class TestReviewFixesPlanEra:
     """Regression tests from the PR-5 review pass."""
 
-    class _ProtocolOnlyBackend:
-        """A minimal Backend-protocol citizen: name + run, no plan surface."""
+    def test_backend_without_base_class_rejected(self):
+        # Only BaseBackend subclasses run: an object with just name and
+        # run is not a backend.
+        class ProtocolOnly:
+            name = "protocol_only"
 
-        name = "protocol_only"
+            def run(self, circuit, initial_state=None, options=None):
+                raise AssertionError("never reached")
 
-        def run(self, circuit, initial_state=None, options=None):
-            from repro.sim import get_backend
-
-            return get_backend("statevector").run(
-                circuit, initial_state, options
-            )
-
-    def test_sweep_works_on_protocol_only_backend(self):
-        theta = Parameter("theta")
-        circuit = Circuit(2).ry(theta, 0).cx(0, 1)
-        sweep = [{theta: v} for v in (0.0, np.pi / 2, np.pi)]
-        batch = execute(
-            circuit,
-            backend=self._ProtocolOnlyBackend(),
-            observables=Pauli("ZI"),
-            parameter_sweep=sweep,
-        )
-        assert batch.metadata["sweep_mode"] == "per_element"
-        assert batch.metadata["backend"] == "protocol_only"
-        values = [r.expectation_values[0] for r in batch]
-        assert values[0] == pytest.approx(1.0)
-        assert values[2] == pytest.approx(-1.0)
-
-    def test_sweep_on_protocol_only_backend_transpiles_once(self):
-        theta = Parameter("theta")
-        circuit = Circuit(2).ry(theta, 0).cx(0, 1)
-        counting = CountingPass()
-        batch = execute(
-            circuit,
-            backend=self._ProtocolOnlyBackend(),
-            passes=[counting],
-            parameter_sweep=[{theta: v} for v in (0.1, 0.2, 0.3)],
-        )
-        assert len(batch) == 3
-        assert counting.calls == 1
-
-    def test_batched_mode_demanded_on_protocol_backend_raises(self):
-        theta = Parameter("theta")
-        circuit = Circuit(1).ry(theta, 0)
-        with pytest.raises(ExecutionError, match="plan-capable"):
-            execute(
-                circuit,
-                backend=self._ProtocolOnlyBackend(),
-                parameter_sweep=[{theta: 0.1}],
-                sweep_mode="batched",
-            )
+        with pytest.raises(SimulationError, match="cannot resolve a backend"):
+            execute(_bell(), backend=ProtocolOnly())
 
     def test_stray_sweep_key_rejected_up_front(self):
         # A typo'd key fails identically in every sweep mode, before any

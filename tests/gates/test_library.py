@@ -71,9 +71,9 @@ def test_same_params_hit_cache_different_params_do_not():
 def test_gate_cache_is_bounded():
     from repro.gates import registry
 
-    for i in range(registry._GATE_CACHE_MAX + 50):
+    for i in range(registry._GATE_CACHE.maxsize + 50):
         get_gate("rz", 1e-9 * i)
-    assert len(registry._GATE_CACHE) <= registry._GATE_CACHE_MAX
+    assert len(registry._GATE_CACHE) <= registry._GATE_CACHE.maxsize
 
 
 def test_unknown_gate_raises_circuit_error():

@@ -112,12 +112,15 @@ class TestLowering:
             compile_plan(_bell(), "statevector", {"shots": 4})
 
     def test_backend_without_plan_mode_rejected(self):
-        class Weird:
+        from repro.sim import BaseBackend
+
+        class Weird(BaseBackend):
             name = "weird"
-            run = staticmethod(lambda *a, **k: None)
 
         with pytest.raises(SimulationError, match="plan_mode"):
             compile_plan(_bell(), Weird())
+        with pytest.raises(SimulationError, match="cannot resolve a backend"):
+            compile_plan(_bell(), object())
 
 
 class TestParametricPlans:

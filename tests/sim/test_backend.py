@@ -179,20 +179,6 @@ class TestSharedRunSignature:
         rho = DensityMatrixBackend().run(circuit, options=options)
         assert rho.fidelity(psi) == pytest.approx(1.0)
 
-    def test_legacy_keywords_still_accepted_but_deprecated(self):
-        circuit = Circuit(1).rz(0.5, 0).rz(-0.5, 0)
-        with pytest.warns(DeprecationWarning, match="RunOptions"):
-            legacy = StatevectorBackend().run(circuit, optimize=True)
-        assert legacy == StatevectorBackend().run(circuit)
-
-    def test_mixing_options_and_legacy_keywords_rejected(self):
-        from repro import RunOptions
-
-        with pytest.raises(SimulationError, match="not both"):
-            StatevectorBackend().run(
-                Circuit(1).h(0), options=RunOptions(), optimize=True
-            )
-
     def test_non_runoptions_object_rejected(self):
         with pytest.raises(SimulationError, match="RunOptions"):
             StatevectorBackend().run(Circuit(1).h(0), options={"optimize": True})

@@ -88,11 +88,11 @@ class TestRegisterBackend:
             registry_module, "_INSTANCES", dict(registry_module._INSTANCES)
         )
 
-        class EchoBackend:
+        class EchoBackend(StatevectorBackend):
             name = "echo"
 
             def run(self, circuit, initial_state=None, options=None):
-                # Protocol-minimal backend: receives the whole RunOptions.
+                # Receives the whole RunOptions.
                 assert options is not None and not options.optimize
                 return Statevector.zero_state(circuit.num_qubits)
 

@@ -48,7 +48,6 @@ class TestAll:
             "bit_phase_flip",
             "amplitude_damping",
             "phase_damping",
-            "Backend",
             "DensityMatrix",
             "get_backend",
             "register_backend",

@@ -20,6 +20,13 @@ AST walk (no imports are executed), mirroring ``check_layers.py``:
     transport error that points at pickle, not at the author.  Task
     functions must be module-level.
 
+``fork-module-cache``
+    A module-level ``OrderedDict(...)`` is a hand-rolled cache: shared
+    by every thread, mutated without a lock (or with one that a fork
+    clones held), and unbounded unless each call site evicts by hand.
+    Process-wide caches are :class:`repro.utils.lru.LRUCache` instances,
+    which lock every access and renew their locks in forked children.
+
 ``fork-lock-held``
     Submitting work (``.submit(...)`` / ``run_tasks(...)``) while a
     lock is held: if the pool ever forks at that moment, the child
@@ -29,7 +36,8 @@ AST walk (no imports are executed), mirroring ``check_layers.py``:
     deliberately does); *submission* under a lock is the hazard.
 
 Exit status is non-zero when any violation is found; CI runs this as a
-blocking step over ``src/repro/service`` and ``src/repro/plan``.
+blocking step over ``src/repro/service``, ``src/repro/plan`` and
+``src/repro/gates``.
 """
 
 from __future__ import annotations
@@ -42,8 +50,8 @@ from typing import Iterator, List, Optional, Sequence
 ROOT = Path(__file__).resolve().parent.parent
 
 #: Directories scanned by default: the layers whose code runs on both
-#: sides of a fork boundary.
-DEFAULT_SCAN = ("src/repro/service", "src/repro/plan")
+#: sides of a fork boundary (pool workers build gates in ``plan.bind``).
+DEFAULT_SCAN = ("src/repro/service", "src/repro/plan", "src/repro/gates")
 
 #: Callable names that construct stateful RNGs when called.
 _RNG_CONSTRUCTORS = {"default_rng", "RandomState", "Random"}
@@ -119,12 +127,30 @@ class _Linter(ast.NodeVisitor):
                     "create RNGs per task from spawned seeds",
                 )
 
+    # -- fork-module-cache -----------------------------------------------
+    def _check_module_cache(self, value: Optional[ast.AST]) -> None:
+        if (
+            value is not None
+            and not self._function_stack
+            and isinstance(value, ast.Call)
+            and _terminal_name(value.func) == "OrderedDict"
+        ):
+            self._flag(
+                value,
+                "fork-module-cache",
+                "module-level OrderedDict is a hand-rolled cache; use "
+                "repro.utils.lru.LRUCache, which locks every access and "
+                "renews its lock in forked children",
+            )
+
     def visit_Assign(self, node: ast.Assign) -> None:
         self._check_module_rng(node.value)
+        self._check_module_cache(node.value)
         self.generic_visit(node)
 
     def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
         self._check_module_rng(node.value)
+        self._check_module_cache(node.value)
         self.generic_visit(node)
 
     # -- scope tracking --------------------------------------------------
