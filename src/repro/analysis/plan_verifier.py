@@ -222,6 +222,8 @@ def _check_kraus_family(
         )
         return
     for position, tensor in enumerate(op.tensors):
+        if tensor is None and getattr(op, "weights", None) is not None:
+            continue  # a fixed-weight identity branch applies nothing
         yield from _check_tensor(
             tensor, k, plan.dtype, f"{label} operator {position}", site
         )
@@ -375,6 +377,13 @@ def _verify_ops(plan: ExecutionPlan) -> Iterator[Diagnostic]:
                 )
         elif isinstance(op, TrajectoryKrausOp):
             yield from _check_kraus_family(op, op.targets, plan, site)
+            if op.weights is not None and len(op.weights) != len(op.tensors):
+                yield _error(
+                    "plan-shape-mismatch",
+                    f"Kraus {op.name!r}: {len(op.weights)} weight(s) for "
+                    f"{len(op.tensors)} branch(es)",
+                    site,
+                )
         elif isinstance(op, ParametricSlotOp):
             yield from _check_slot(op, plan, site)
         elif isinstance(op, MeasureOp):

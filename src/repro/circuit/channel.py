@@ -15,7 +15,7 @@ standard channels (depolarizing, damping, ...) on top of this class.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,6 +23,15 @@ from repro.circuit.ptm import kraus_to_ptm, ptm_is_trace_preserving
 from repro.utils.exceptions import CircuitError, NoiseModelError
 
 _ATOL = 1e-8
+
+#: How far ``K† K`` may stray from ``w I`` (entrywise) for a channel to
+#: count as mixed-unitary.  Branch weights are then state-independent to
+#: this accuracy, far inside the validation tolerance above.
+_MIXTURE_ATOL = 1e-12
+
+#: ``(weights, unitaries)`` of a mixed-unitary channel; see
+#: :attr:`Channel.mixture`.
+Mixture = Tuple[Tuple[float, ...], Tuple[Optional[np.ndarray], ...]]
 
 
 class Channel:
@@ -49,7 +58,7 @@ class Channel:
         channels from already-validated pieces may pass ``False``.
     """
 
-    __slots__ = ("_name", "_num_qubits", "_kraus", "_params", "_ptm")
+    __slots__ = ("_name", "_num_qubits", "_kraus", "_params", "_ptm", "_mixture")
 
     def __init__(
         self,
@@ -85,6 +94,8 @@ class Channel:
         self._num_qubits = int(num_qubits)
         self._kraus = tuple(frozen)
         self._params = tuple(float(p) for p in params)
+        # A one-tuple once computed (its entry may be None): see ``mixture``.
+        self._mixture: Optional[Tuple[Optional[Mixture]]] = None
         # The Pauli transfer matrix is frozen alongside the Kraus set so
         # every consumer (the ptm lowering mode, analysis rules, future
         # density-backend reuse) shares one precomputed copy.
@@ -104,6 +115,15 @@ class Channel:
                     f"beyond atol={atol}"
                 )
 
+    def __getstate__(self) -> tuple:
+        # The mixed-unitary decomposition is a lazy cache: pickles leave it
+        # out, and the unpickled channel recomputes it on first use.
+        return None, {
+            name: getattr(self, name)
+            for name in self.__slots__
+            if name != "_mixture" and hasattr(self, name)
+        }
+
     def __setstate__(self, state: tuple) -> None:
         # Default __slots__ pickling restores attributes but loses the Kraus
         # operators' read-only flag (numpy arrays unpickle writeable);
@@ -111,6 +131,7 @@ class Channel:
         _, slots = state
         for name, value in slots.items():
             setattr(self, name, value)
+        self._mixture = None
         # Re-check the shape invariant: pickles cross process boundaries
         # (worker pools, job queues), so a corrupted payload must fail
         # here — loudly, with the constructor's error — not as an axis
@@ -172,6 +193,23 @@ class Channel:
             self._ptm = ptm
             return self._ptm
 
+    @property
+    def mixture(self) -> Optional[Mixture]:
+        """The channel as a fixed mixture of unitaries, or ``None``.
+
+        A channel is *mixed-unitary* when every Kraus operator satisfies
+        ``K_i† K_i = w_i I``: then ``K_i = sqrt(w_i) U_i`` with ``U_i``
+        unitary, and branch ``i`` occurs with probability ``w_i`` whatever
+        the state.  Depolarizing, bit flip, phase flip and bit-phase flip
+        are; amplitude and phase damping are not.  Returns ``(weights,
+        unitaries)``; a read-only ``U_i`` is ``None`` where ``w_i == 0``
+        or ``U_i`` is the identity, since such a branch applies nothing.
+        Computed on first access and cached.
+        """
+        if self._mixture is None:
+            self._mixture = (_mixed_unitary(self._kraus, self._num_qubits),)
+        return self._mixture[0]
+
     def is_trace_preserving(self, atol: float = _ATOL) -> bool:
         """Whether ``sum_i K_i† K_i == I`` within ``atol``."""
         dim = 1 << self._num_qubits
@@ -217,3 +255,28 @@ class Channel:
             f"Channel({self._name}, qubits={self._num_qubits}, "
             f"kraus={len(self._kraus)})"
         )
+
+
+def _mixed_unitary(kraus: Sequence[np.ndarray], num_qubits: int) -> Optional[Mixture]:
+    """Decompose ``kraus`` as ``sqrt(w_i) U_i``, or ``None`` if it is not."""
+    dim = 1 << num_qubits
+    identity = np.eye(dim)
+    weights = []
+    unitaries = []
+    for operator in kraus:
+        gram = operator.conj().T @ operator
+        weight = float(np.trace(gram).real) / dim
+        if not np.allclose(gram, weight * identity, rtol=0.0, atol=_MIXTURE_ATOL):
+            return None
+        unitary = None
+        if weight > 0.0:
+            unitary = operator / np.sqrt(weight)
+            if np.allclose(unitary, identity, rtol=0.0, atol=_MIXTURE_ATOL):
+                unitary = None
+            else:
+                unitary.setflags(write=False)
+        weights.append(weight)
+        unitaries.append(unitary)
+    if not sum(weights) > 0.0:
+        return None
+    return tuple(weights), tuple(unitaries)

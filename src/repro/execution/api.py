@@ -30,6 +30,7 @@ from typing import (
     Any,
     Dict,
     Iterable,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -57,7 +58,7 @@ from repro.utils.rng import derive_seed, ensure_rng
 
 if TYPE_CHECKING:
     from repro.analysis import AnalysisReport
-    from repro.plan.plan import ExecutionPlan
+    from repro.plan.plan import ExecutionPlan, TrajectoryKrausOp
 
 Sweep = Sequence[Mapping[Union[Parameter, str], float]]
 
@@ -259,6 +260,12 @@ def element_payload(
     }
 
 
+#: Trajectories whose branch patterns are drawn and grouped together.
+#: Each holds its generator (~1.2 KiB) until its outcome is drawn, so the
+#: block bounds that memory whatever the shot count.
+_TRAJECTORY_BLOCK = 1024
+
+
 def trajectory_shard(
     plan: "ExecutionPlan",
     element_index: int,
@@ -279,10 +286,66 @@ def trajectory_shard(
     per-trajectory quantity depends only on ``(seed, element_index, t)``,
     any shard split (serial, or ``max_workers`` pool shards) merges to
     bitwise-identical results.
+
+    When every random draw of the plan is a mixed-unitary Kraus choice
+    (depolarizing or Pauli-flip noise, no measure/reset/if_bit, no
+    clbits), trajectories sharing a branch pattern share one evolution:
+    see :func:`_grouped_trajectories`.  Every per-trajectory quantity is
+    still bitwise what the trajectory's own evolution gives.
     """
+    fixed_ops = _fixed_weight_ops(plan)
+    if fixed_ops is None:
+        trajectories = _per_shot_trajectories(
+            plan, element_index, start, count, options, backend
+        )
+    else:
+        trajectories = _grouped_trajectories(
+            plan, fixed_ops, element_index, start, count, options, backend
+        )
     tally: Dict[str, int] = {}
     memory: Optional[List[str]] = [] if options.memory else None
     values: List[List[float]] = []
+    for outcome, row in trajectories:
+        tally[outcome] = tally.get(outcome, 0) + 1
+        if memory is not None:
+            memory.append(outcome)
+        values.append(row)
+    return {
+        "tally": tally,
+        "memory": memory,
+        "num_bits": plan.num_clbits or plan.num_qubits,
+        "values": values,
+    }
+
+
+def _fixed_weight_ops(plan: "ExecutionPlan") -> Optional[List["TrajectoryKrausOp"]]:
+    """The plan's dynamic ops if each is a mixed-unitary Kraus draw, else ``None``.
+
+    Only then is a trajectory's evolution fixed by its branch pattern: a
+    measurement or a damping channel weighs its branches by the state.
+    """
+    from repro.plan import TrajectoryKrausOp
+
+    if plan.num_clbits:
+        return None
+    dynamic = [op for op in plan.ops if op.is_dynamic]
+    if all(
+        isinstance(op, TrajectoryKrausOp) and op.weights is not None
+        for op in dynamic
+    ):
+        return dynamic
+    return None
+
+
+def _per_shot_trajectories(
+    plan: "ExecutionPlan",
+    element_index: int,
+    start: int,
+    count: int,
+    options: RunOptions,
+    backend: Any,
+) -> Iterator[Tuple[str, List[float]]]:
+    """``(outcome, observable row)`` per trajectory, each evolved on its own."""
     for t in range(start, start + count):
         rng = ensure_rng(derive_seed(options.seed, element_index, t))
         classical: Dict[str, Any] = {}
@@ -299,18 +362,61 @@ def trajectory_shard(
             outcome = index_to_bitstring(
                 int(rng.choice(probs.size, p=probs)), plan.num_qubits
             )
-        tally[outcome] = tally.get(outcome, 0) + 1
-        if memory is not None:
-            memory.append(outcome)
-        values.append(
-            [expectation(state, observable) for observable in options.observables]
-        )
-    return {
-        "tally": tally,
-        "memory": memory,
-        "num_bits": plan.num_clbits or plan.num_qubits,
-        "values": values,
-    }
+        yield outcome, [
+            expectation(state, observable) for observable in options.observables
+        ]
+
+
+def _grouped_trajectories(
+    plan: "ExecutionPlan",
+    fixed_ops: Sequence["TrajectoryKrausOp"],
+    element_index: int,
+    start: int,
+    count: int,
+    options: RunOptions,
+    backend: Any,
+) -> Iterator[Tuple[str, List[float]]]:
+    """``(outcome, observable row)`` per trajectory, one evolution per pattern.
+
+    Each trajectory's generator first draws its branch pattern — one
+    ``random()`` per Kraus op, exactly the draws ``execute_plan`` would
+    make — and trajectories are grouped by pattern.  Each distinct
+    pattern is evolved once, by the unchanged ``execute_plan`` on its
+    first trajectory's generator rewound to before those draws, and its
+    readout probabilities and observables are computed once.  Every
+    trajectory then draws its outcome from its own generator, as the
+    per-shot loop does, so each per-trajectory quantity is bitwise the
+    same.  Blocks of :data:`_TRAJECTORY_BLOCK` trajectories bound the
+    generators held; one evolved state is alive at a time.
+    """
+    stop = start + count
+    for block_start in range(start, stop, _TRAJECTORY_BLOCK):
+        block = range(block_start, min(block_start + _TRAJECTORY_BLOCK, stop))
+        groups: Dict[Tuple[int, ...], List[Tuple[int, np.random.Generator]]] = {}
+        for position, t in enumerate(block):
+            rng = ensure_rng(derive_seed(options.seed, element_index, t))
+            rewind = rng.bit_generator.state
+            draws = rng.random(len(fixed_ops)).tolist()
+            pattern = tuple(op.choose(draw) for op, draw in zip(fixed_ops, draws))
+            group = groups.get(pattern)
+            if group is None:
+                rng.bit_generator.state = rewind
+                group = groups[pattern] = []
+            group.append((position, rng))
+        outcomes: List[str] = [""] * len(block)
+        rows: List[List[float]] = [[]] * len(block)
+        for group in groups.values():
+            state = backend.execute_plan(
+                plan, rng=group[0][1], classical={}, sanitize=options.sanitize
+            )
+            probs = readout_probabilities(state, options.noise_model)
+            row = [expectation(state, observable) for observable in options.observables]
+            for position, rng in group:
+                outcomes[position] = index_to_bitstring(
+                    int(rng.choice(probs.size, p=probs)), plan.num_qubits
+                )
+                rows[position] = row
+        yield from zip(outcomes, rows)
 
 
 def _trajectory_element(
@@ -453,18 +559,12 @@ def _compile_timed(
     timings describe the current call: a cache hit costs only the lookup
     and contributes zero transpile time, instead of echoing the original
     compile's wall times (which could exceed this call's own total).
-    Hit detection reads the process-wide miss counter around the
-    compile.  ``ExecutionService`` dispatcher threads compile
-    concurrently, so a miss in another thread can make a hit here count
-    as a compile; only the reported transpile time is affected.
     """
-    from repro.plan import compile_plan, plan_cache_info
+    from repro.plan.plan import _compile_plan
 
-    misses_before = plan_cache_info()["misses"]
     t0 = time.perf_counter()
-    plan = compile_plan(circuit, backend, options)
+    plan, compiled_now = _compile_plan(circuit, backend, options, use_cache=True)
     compile_time = time.perf_counter() - t0
-    compiled_now = plan_cache_info()["misses"] > misses_before
     return plan, compile_time, (plan.transpile_time_s if compiled_now else 0.0)
 
 

@@ -28,7 +28,9 @@ Four lowering modes exist, selected by the target backend's ``plan_mode``:
   (and matched noise rules) lower to :class:`TrajectoryKrausOp`: at
   execution time one Kraus operator is *sampled* per application from the
   seeded RNG stream (Monte-Carlo wavefunction unraveling), keeping noisy
-  evolution at O(2**n) per trajectory.
+  evolution at O(2**n) per trajectory.  Mixed-unitary channels carry
+  their fixed branch weights and unitaries, so a draw needs no trial
+  contractions.
 * ``"ptm"`` — every gate *and* every channel becomes one real
   ``(4**k, 4**k)`` Pauli-transfer matrix contracting onto the ``(4,) * n``
   Pauli vector of rho (:class:`PTMOp`).  Because gates and noise now
@@ -72,6 +74,7 @@ from repro.utils.exceptions import SimulationError
 from repro.utils.lru import LRUCache
 
 if TYPE_CHECKING:
+    from repro.circuit.channel import Channel
     from repro.circuit.circuit import CircuitStats
     from repro.circuit.instruction import Instruction
     from repro.execution.options import RunOptions
@@ -542,17 +545,45 @@ class ConditionalOp:
         return f"ConditionalOp(clbit={self.clbit}=={self.value}, {self.inner!r})"
 
 
+def _choose_branch(draw: float, weights: Sequence[float]) -> int:
+    """The Kraus branch a uniform ``draw`` in ``[0, 1)`` selects.
+
+    The draw scales by the total weight and picks the first branch of
+    positive weight whose cumulative weight exceeds it; a draw landing on
+    the trailing rounding gap falls back to the heaviest branch.
+    """
+    draw *= sum(weights)
+    cumulative = 0.0
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if weight > 0.0 and draw < cumulative:
+            return index
+    return int(np.argmax(weights))
+
+
 class TrajectoryKrausOp:
     """Monte-Carlo unraveling of a Kraus channel on a pure state.
 
-    Applies every Kraus operator to the (normalised) input, computes the
-    branch weights ``||K_i psi||^2`` — which sum to 1 for a CPTP map —
-    samples one branch from the RNG stream, and renormalises.  This is
-    the trajectory backend's whole trick: the density-matrix Kraus *sum*
-    becomes a Kraus *choice* per trajectory.
+    Each application picks ONE Kraus branch with one ``rng.random()``
+    draw — the density-matrix Kraus *sum* becomes a Kraus *choice* per
+    trajectory, which is the trajectory backend's whole trick.
+
+    * A mixed-unitary channel (see :attr:`repro.circuit.Channel.mixture`:
+      depolarizing and the Pauli flips) has state-independent branch
+      ``weights`` ``w_i``, and ``tensors`` holds its unitaries ``U_i``
+      (``None`` for an identity branch).  The draw picks a branch
+      against the weights (:meth:`choose`) and only the chosen ``U_i`` is
+      contracted; an identity branch applies nothing.  A trajectory's
+      evolution is then a function of its branch *pattern* alone, so
+      trajectories sharing a pattern can share one evolution (see
+      :func:`repro.execution.api.trajectory_shard`).
+    * Any other channel (amplitude or phase damping; ``weights`` is
+      ``None``) keeps its Kraus operators in ``tensors``, applies every
+      one, weighs the branches by ``||K_i psi||^2``, picks one and
+      renormalises it.
     """
 
-    __slots__ = ("tensors", "targets", "in_axes", "out_axes", "name")
+    __slots__ = ("tensors", "weights", "targets", "in_axes", "out_axes", "name")
 
     is_slot = False
     is_dynamic = True
@@ -560,19 +591,33 @@ class TrajectoryKrausOp:
     def __init__(
         self,
         name: str,
-        kraus: Sequence[np.ndarray],
+        tensors: Sequence[Optional[np.ndarray]],
         targets: Sequence[int],
         dtype: np.dtype,
+        weights: Optional[Sequence[float]] = None,
     ) -> None:
         k = len(targets)
         shape = (2,) * (2 * k)
         self.tensors = tuple(
-            np.asarray(op, dtype=dtype).reshape(shape) for op in kraus
+            None if op is None else np.asarray(op, dtype=dtype).reshape(shape)
+            for op in tensors
         )
+        self.weights = None if weights is None else tuple(weights)
         self.targets = tuple(targets)
         self.in_axes = tuple(range(k, 2 * k))
         self.out_axes = tuple(range(k))
         self.name = name
+
+    @classmethod
+    def from_channel(
+        cls, channel: "Channel", targets: Sequence[int], dtype: np.dtype
+    ) -> "TrajectoryKrausOp":
+        """The op for ``channel`` on ``targets``: fixed weights where it has them."""
+        mixture = channel.mixture
+        if mixture is None:
+            return cls(channel.name, channel.kraus, targets, dtype)
+        weights, unitaries = mixture
+        return cls(channel.name, unitaries, targets, dtype, weights)
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         raise SimulationError(
@@ -580,25 +625,25 @@ class TrajectoryKrausOp:
             "through the trajectory backend (execute_plan threads the RNG)"
         )
 
+    def choose(self, draw: float) -> int:
+        """The branch a uniform ``draw`` in ``[0, 1)`` picks (mixed-unitary ops)."""
+        return _choose_branch(draw, self.weights)
+
     def apply_pure(
         self, state: np.ndarray, rng: np.random.Generator, bits: List[int]
     ) -> np.ndarray:
+        if self.weights is not None:
+            unitary = self.tensors[self.choose(rng.random())]
+            if unitary is None:
+                return state
+            return _contract(state, unitary, self.targets, self.in_axes, self.out_axes)
         candidates = []
         weights = []
         for tensor in self.tensors:
             candidate = _contract(state, tensor, self.targets, self.in_axes, self.out_axes)
             candidates.append(candidate)
             weights.append(float(np.vdot(candidate, candidate).real))
-        draw = rng.random() * sum(weights)
-        cumulative = 0.0
-        chosen = None
-        for index, weight in enumerate(weights):
-            cumulative += weight
-            if weight > 0.0 and draw < cumulative:
-                chosen = index
-                break
-        if chosen is None:  # fp edge: draw landed on the trailing rounding gap
-            chosen = int(np.argmax(weights))
+        chosen = _choose_branch(rng.random(), weights)
         return candidates[chosen] / np.sqrt(weights[chosen])
 
     def __repr__(self) -> str:
@@ -1090,9 +1135,7 @@ def _lower(
                 )
             if mode == TRAJECTORY:
                 ops.append(
-                    TrajectoryKrausOp(
-                        operation.name, operation.kraus, instruction.qubits, dtype
-                    )
+                    TrajectoryKrausOp.from_channel(operation, instruction.qubits, dtype)
                 )
             else:
                 ops.append(
@@ -1125,9 +1168,7 @@ def _lower(
             # by the backend's _validate_noise before lowering.
             for channel, qubits in noise_model.channels_for(instruction):
                 if mode == TRAJECTORY:
-                    ops.append(
-                        TrajectoryKrausOp(channel.name, channel.kraus, qubits, dtype)
-                    )
+                    ops.append(TrajectoryKrausOp.from_channel(channel, qubits, dtype))
                 else:
                     ops.append(
                         DensityKrausOp(channel.name, channel.kraus, qubits, n, dtype)
@@ -1179,6 +1220,21 @@ def compile_plan(
         :mod:`repro.plan.cache`).  Compilation is skipped entirely on a
         hit — repeated ``execute()`` of the same circuit reuses the plan.
     """
+    return _compile_plan(circuit, backend, options, use_cache)[0]
+
+
+def _compile_plan(
+    circuit: Circuit,
+    backend: Any,
+    options: Optional["RunOptions"],
+    use_cache: bool,
+) -> Tuple[ExecutionPlan, bool]:
+    """:func:`compile_plan`, plus whether THIS call compiled (a cache miss).
+
+    ``execute()`` attributes transpile time to the call that paid it from
+    this flag; the process-wide miss counter cannot tell, because
+    ``ExecutionService`` dispatcher threads compile concurrently.
+    """
     from repro.execution.options import RunOptions
     from repro.plan.cache import cache_get, cache_put, plan_key
 
@@ -1209,7 +1265,7 @@ def compile_plan(
         key = plan_key(circuit, backend_name, mode, dtype, options)
         cached = cache_get(key)
         if cached is not None:
-            return cached
+            return cached, False
 
     noise_model = options.noise_model
     has_gate_noise = noise_model is not None and getattr(
@@ -1273,5 +1329,5 @@ def compile_plan(
     for hook in tuple(_LOWER_HOOKS):
         hook(circuit, plan)
     if use_cache:
-        return cache_put(key, options, plan)
-    return plan
+        return cache_put(key, options, plan), True
+    return plan, True

@@ -13,6 +13,18 @@ Through :func:`repro.execute` the ``shots`` option doubles as the
 trajectory count (one trajectory = one shot = one sampled outcome), and
 trajectories shard across workers with per-trajectory derived seeds, so
 results are bitwise-identical for any ``max_workers``.
+
+Pauli noise (depolarizing and the bit/phase flips) is *mixed-unitary*:
+each Kraus operator is ``sqrt(w_i) U_i``, so the branch weights do not
+depend on the state.  Such a channel costs one draw and at most one
+unitary contraction per application, and a trajectory's evolution is
+fixed by its pattern of branch choices.  When every channel of a plan
+is mixed-unitary and the plan has no measure/reset/if_bit and no
+clbits, :func:`repro.execution.api.trajectory_shard` draws every
+trajectory's pattern first and evolves each distinct pattern once; each
+trajectory still draws its own outcome, so every per-trajectory result
+is bitwise what its own evolution gives.  Damping channels weigh their
+branches by the state and keep one evolution per trajectory.
 """
 
 from __future__ import annotations

@@ -24,7 +24,9 @@ def index_to_bitstring(index: int, num_qubits: int) -> str:
 
 def bitstring_to_index(bitstring: str) -> int:
     """Convert a bitstring (qubit 0 leftmost) to its basis-state index."""
-    if not bitstring or any(c not in "01" for c in bitstring):
+    # strip() leaves a character iff one is not "0"/"1": a C-level check
+    # that keeps int() from accepting "+1", "0_1", " 01" or non-ASCII digits.
+    if not bitstring or bitstring.strip("01"):
         raise ValueError(f"invalid bitstring {bitstring!r}")
     return int(bitstring, 2)
 

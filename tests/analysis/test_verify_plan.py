@@ -248,3 +248,22 @@ class TestDensityCorruption:
         op.tensors = ()
         report = verify_plan(plan)
         assert "plan-shape-mismatch" in report.codes()
+
+    def test_fixed_weight_branches_checked(self):
+        from repro.noise import amplitude_damping, depolarizing
+        from repro.plan.plan import TrajectoryKrausOp
+
+        circuit = Circuit(2).channel(depolarizing(0.1), (1,))
+        plan = _plan(circuit, backend="trajectory")
+        assert verify_plan(plan).codes() == ()  # the identity branch is None
+        op = _first_op(plan, TrajectoryKrausOp)
+        tensors = op.tensors
+        op.tensors = tensors[:-1] + (np.eye(4, dtype=complex),)
+        assert "plan-shape-mismatch" in verify_plan(plan).codes()
+        op.tensors, op.weights = tensors, op.weights[:-1]
+        assert "plan-shape-mismatch" in verify_plan(plan).codes()
+        # A state-dependent channel has no identity shortcut.
+        plan = _plan(Circuit(1).channel(amplitude_damping(0.1), (0,)), backend="trajectory")
+        op = _first_op(plan, TrajectoryKrausOp)
+        op.tensors = (None,) + op.tensors[1:]
+        assert "plan-shape-mismatch" in verify_plan(plan).codes()

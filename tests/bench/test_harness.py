@@ -479,7 +479,22 @@ class TestCli:
         assert report["schema_version"] == SCHEMA_VERSION
         assert report["config"]["repeats"] == 1  # smoke defaults to one repeat
 
-    def test_main_json_smoke_sweep(self, capsys):
+    @pytest.fixture()
+    def unmeasured_sweep_speedup(self, monkeypatch):
+        # The batched-sweep speed gate reads host timing, which says
+        # nothing about the code at smoke size on a shared host.  The
+        # in-process leg checks the sweep contract and leaves the gate to
+        # test_main_fails_when_batched_sweep_is_slower and CI's bench-smoke.
+        import repro.bench.__main__ as cli
+
+        def suite(*args, **kwargs):
+            report = run_suite(*args, **kwargs)
+            report["sweep"]["batched_speedup"] = None
+            return report
+
+        monkeypatch.setattr(cli, "run_suite", suite)
+
+    def test_main_json_smoke_sweep(self, capsys, unmeasured_sweep_speedup):
         # The CI sweep leg, in-process: the schema-3 sweep section must
         # report exactly one transpile for the whole batch.
         exit_code = main(["--json", "--smoke", "--sweep", "--shots", "64"])
@@ -488,6 +503,19 @@ class TestCli:
         assert report["config"]["sweep"] is True
         assert report["sweep"]["transpile_calls"] == 1
         assert report["sweep"]["reproducible"] is True
+
+    def test_main_fails_when_batched_sweep_is_slower(self, capsys, monkeypatch):
+        import repro.bench.__main__ as cli
+
+        def slow_sweep_suite(*args, **kwargs):
+            report = run_suite(*args, **kwargs)
+            report["sweep"]["batched_speedup"] = 0.5
+            return report
+
+        monkeypatch.setattr(cli, "run_suite", slow_sweep_suite)
+        exit_code = main(["--smoke", "--sweep", "--shots", "64"])
+        assert exit_code == 1
+        assert "batched sweep is slower" in capsys.readouterr().err
 
     @pytest.fixture()
     def one_cpu(self, monkeypatch):

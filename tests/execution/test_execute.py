@@ -170,6 +170,55 @@ class TestBatch:
         assert warm.metadata["plan_compile_time_s"] <= first.metadata["total_time_s"]
         assert first[0].counts == warm[0].counts  # both shots-free: None
 
+    def test_hit_reports_zero_transpile_while_another_thread_compiles(
+        self, monkeypatch
+    ):
+        # Thread "hit" looks up a cached plan while thread "miss" compiles
+        # a new circuit between that lookup's start and end.  The hit must
+        # report its own (zero) transpile time, not the other compile's;
+        # events order the two lookups, so no timing is involved.
+        import threading
+
+        import repro.plan.cache as cache
+        from repro import clear_plan_cache
+
+        clear_plan_cache()
+        cached = _bell()
+        assert execute([cached], optimize=True).metadata["transpile_time_s"] > 0
+        hit_looking, other_missed = threading.Event(), threading.Event()
+        real_get = cache.cache_get
+
+        def ordered_get(key):
+            if threading.current_thread().name == "hit":
+                hit_looking.set()
+                assert other_missed.wait(10)
+                return real_get(key)
+            plan = real_get(key)
+            other_missed.set()
+            return plan
+
+        monkeypatch.setattr(cache, "cache_get", ordered_get)
+        reported = {}
+
+        def hit():
+            batch = execute([cached], optimize=True)
+            reported["transpile_time_s"] = batch.metadata["transpile_time_s"]
+
+        def miss():
+            assert hit_looking.wait(10)
+            execute([Circuit(3).h(0).cx(0, 2)], optimize=True)
+
+        threads = [
+            threading.Thread(target=hit, name="hit"),
+            threading.Thread(target=miss, name="miss"),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(20)
+        assert other_missed.is_set()
+        assert reported == {"transpile_time_s": 0.0}
+
 
 class TestParameterSweep:
     def test_acceptance_single_transpile_for_n_binds(self):

@@ -130,3 +130,49 @@ class TestChannelsOnBackend:
         probs = state.probabilities_dict()
         assert probs["00"] > probs["11"]
         assert sum(probs.values()) == pytest.approx(1.0)
+
+
+class TestMixture:
+    @pytest.mark.parametrize(
+        "channel, branches",
+        [
+            (depolarizing(0.1), 4),
+            (depolarizing(0.1, num_qubits=2), 16),
+            (bit_flip(0.1), 2),
+            (phase_flip(0.1), 2),
+            (bit_phase_flip(0.1), 2),
+        ],
+        ids=["depolarizing", "depolarizing_2q", "bit_flip", "phase_flip", "bit_phase_flip"],
+    )
+    def test_pauli_channels_decompose(self, channel, branches):
+        weights, unitaries = channel.mixture
+        assert len(weights) == len(unitaries) == branches
+        assert sum(weights) == pytest.approx(1.0, abs=1e-12)
+        # The identity branch applies nothing; every other is a frozen unitary
+        # that rebuilds its Kraus operator.
+        assert unitaries[0] is None
+        for weight, unitary, operator in zip(weights[1:], unitaries[1:], channel.kraus[1:]):
+            dim = unitary.shape[0]
+            assert np.allclose(unitary.conj().T @ unitary, np.eye(dim), atol=1e-12)
+            assert np.allclose(np.sqrt(weight) * unitary, operator, atol=1e-12)
+            assert not unitary.flags.writeable
+
+    @pytest.mark.parametrize("build", [lambda: amplitude_damping(0.1), lambda: phase_damping(0.1)])
+    def test_damping_is_not_mixed_unitary(self, build):
+        assert build().mixture is None
+
+    def test_zero_weight_branch_has_no_unitary(self):
+        weights, unitaries = bit_flip(0.0).mixture
+        assert weights == (1.0, 0.0)
+        assert unitaries == (None, None)
+
+    def test_computed_once_and_left_out_of_pickles(self):
+        import pickle
+
+        channel = depolarizing(0.2, num_qubits=2)
+        lean = len(pickle.dumps(channel))
+        assert channel.mixture is channel.mixture
+        assert len(pickle.dumps(channel)) == lean
+        clone = pickle.loads(pickle.dumps(channel))
+        for a, b in zip(clone.mixture[1], channel.mixture[1]):
+            assert (a is None and b is None) or np.array_equal(a, b)

@@ -5,16 +5,30 @@ import pytest
 
 from repro import (
     Circuit,
+    Instruction,
     NoiseModel,
     Pauli,
+    ReadoutError,
     RunOptions,
     TrajectoryBackend,
     amplitude_damping,
     available_backends,
+    bit_flip,
+    bit_phase_flip,
+    compile_plan,
     depolarizing,
+    derive_seed,
     execute,
+    expectation,
     get_backend,
+    get_gate,
+    index_to_bitstring,
+    phase_damping,
+    phase_flip,
 )
+from repro.execution import api
+from repro.plan import TrajectoryKrausOp
+from repro.sampling.sampler import readout_probabilities
 from repro.utils.exceptions import ExecutionError
 
 
@@ -167,3 +181,330 @@ class TestContract:
         )
         assert result.counts.num_qubits == 1
         assert set(result.counts) <= {"0", "1"}
+
+
+# ----------------------------------------------------------------------
+# Pauli noise: fixed-weight draws and one evolution per branch pattern
+# ----------------------------------------------------------------------
+
+ROTATIONS = ("rx", "ry", "rz")
+
+
+def _random_circuit(seed, num_qubits=4, num_gates=14):
+    rng = np.random.default_rng(seed)
+    circuit = Circuit(num_qubits)
+    for _ in range(num_gates):
+        if rng.random() < 0.3:
+            a, b = rng.choice(num_qubits, 2, replace=False)
+            circuit.cx(int(a), int(b))
+        else:
+            rotation = getattr(circuit, ROTATIONS[int(rng.integers(3))])
+            rotation(float(rng.uniform(-np.pi, np.pi)), int(rng.integers(num_qubits)))
+    return circuit
+
+
+PAULI_CHANNELS = {
+    "depolarizing": [(depolarizing(0.05), ROTATIONS), (depolarizing(0.1, 2), ["cx"])],
+    "bit_flip": [(bit_flip(0.04), None)],
+    "phase_flip": [(phase_flip(0.04), None)],
+    "bit_phase_flip": [(bit_phase_flip(0.04), None)],
+}
+
+
+def _pauli_model(noise):
+    model = NoiseModel()
+    for channel, gates in PAULI_CHANNELS[noise]:
+        model.add_channel(channel, gates=gates)
+    if noise == "depolarizing":
+        model.set_readout_error(ReadoutError(0.02, 0.03))
+    return model
+
+OBSERVABLES = (Pauli("Z", qubits=(0,)), Pauli("XX", qubits=(1, 2)))
+
+
+def _options(model, **overrides):
+    fields = dict(
+        backend="trajectory",
+        shots=48,
+        seed=17,
+        memory=True,
+        noise_model=model,
+        observables=OBSERVABLES,
+        max_workers=1,
+    )
+    fields.update(overrides)
+    return RunOptions(**fields)
+
+
+def _reference(circuit, options):
+    """Every trajectory evolved, read out and measured on its own."""
+    backend = get_backend("trajectory")
+    plan = compile_plan(circuit, backend, options)
+    tally, memory, rows = {}, [], []
+    for t in range(options.shots):
+        rng = np.random.default_rng(derive_seed(options.seed, 0, t))
+        state = backend.execute_plan(
+            plan, rng=rng, classical={}, sanitize=options.sanitize
+        )
+        probs = readout_probabilities(state, options.noise_model)
+        outcome = index_to_bitstring(
+            int(rng.choice(probs.size, p=probs)), circuit.num_qubits
+        )
+        tally[outcome] = tally.get(outcome, 0) + 1
+        memory.append(outcome)
+        rows.append([expectation(state, o) for o in options.observables])
+    stacked = np.asarray(rows, dtype=np.float64)
+    means = stacked.mean(axis=0)
+    stds = np.sqrt(
+        np.maximum(np.mean(stacked**2, axis=0) - means**2, 0.0) / options.shots
+    )
+    return (
+        list(tally.items()),
+        memory,
+        tuple(float(v) for v in means),
+        tuple(float(v) for v in stds),
+    )
+
+
+def _observed(result):
+    return (
+        list(result.counts.items()),
+        result.memory,
+        result.expectation_values,
+        result.metadata["expectation_std"],
+    )
+
+
+@pytest.fixture()
+def evolutions(monkeypatch):
+    """Counts ``execute_plan`` calls on the trajectory backend (serial runs)."""
+    calls = []
+    original = TrajectoryBackend.execute_plan
+
+    def counting(self, plan, *args, **kwargs):
+        calls.append(plan)
+        return original(self, plan, *args, **kwargs)
+
+    monkeypatch.setattr(TrajectoryBackend, "execute_plan", counting)
+    return calls
+
+
+def _patterns(plan, seed, start, stop):
+    """Distinct branch patterns of trajectories ``[start, stop)`` of element 0."""
+    ops = [op for op in plan.ops if op.is_dynamic]
+    patterns = set()
+    for t in range(start, stop):
+        rng = np.random.default_rng(derive_seed(seed, 0, t))
+        patterns.add(tuple(op.choose(rng.random()) for op in ops))
+    return patterns
+
+
+class TestGroupedTrajectories:
+    @pytest.mark.parametrize("sanitize", ["off", "strict"])
+    @pytest.mark.parametrize("noise", sorted(PAULI_CHANNELS))
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_bitwise_equal_to_per_trajectory_loop(self, seed, noise, sanitize):
+        circuit = _random_circuit(seed)
+        options = _options(_pauli_model(noise), seed=seed, sanitize=sanitize)
+        assert _observed(execute(circuit, options)) == _reference(circuit, options)
+
+    def test_evolutions_equal_distinct_patterns(self, evolutions):
+        circuit = _random_circuit(5)
+        model = NoiseModel().add_channel(depolarizing(0.01), gates=ROTATIONS)
+        options = _options(model, shots=200)
+        plan = compile_plan(circuit, "trajectory", options)
+        shard = api.trajectory_shard(plan, 0, 0, 200, options, get_backend("trajectory"))
+        distinct = _patterns(plan, options.seed, 0, 200)
+        assert len(evolutions) == len(distinct) < 50
+        assert sum(shard["tally"].values()) == 200
+
+    def test_blocks_bound_grouping_without_changing_results(
+        self, evolutions, monkeypatch
+    ):
+        circuit = _random_circuit(6)
+        options = _options(_pauli_model("depolarizing"), shots=30)
+        plan = compile_plan(circuit, "trajectory", options)
+        backend = get_backend("trajectory")
+        whole = api.trajectory_shard(plan, 0, 0, 30, options, backend)
+        evolutions.clear()
+        monkeypatch.setattr(api, "_TRAJECTORY_BLOCK", 7)
+        blocked = api.trajectory_shard(plan, 0, 0, 30, options, backend)
+        assert blocked == whole
+        assert len(evolutions) == sum(
+            len(_patterns(plan, options.seed, start, min(start + 7, 30)))
+            for start in range(0, 30, 7)
+        )
+
+    def test_shard_splits_merge_bitwise(self):
+        circuit = _random_circuit(9)
+        options = _options(_pauli_model("depolarizing"), shots=40)
+        plan = compile_plan(circuit, "trajectory", options)
+        backend = get_backend("trajectory")
+        whole = api.trajectory_shard(plan, 0, 0, 40, options, backend)
+        for cuts in ([0, 13, 40], [0, 1, 2, 39, 40]):
+            parts = [
+                api.trajectory_shard(plan, 0, a, b - a, options, backend)
+                for a, b in zip(cuts, cuts[1:])
+            ]
+            assert sum((part["memory"] for part in parts), []) == whole["memory"]
+            assert sum((part["values"] for part in parts), []) == whole["values"]
+
+    @pytest.mark.parametrize("noise", ["depolarizing", "bit_phase_flip"])
+    def test_bitwise_identical_across_workers(self, noise, monkeypatch):
+        circuit = _random_circuit(11)
+        options = _options(_pauli_model(noise), shots=33)
+        serial = _observed(execute(circuit, options))
+        assert _observed(execute(circuit, options.replace(max_workers=2))) == serial
+        monkeypatch.setenv("REPRO_MAX_WORKERS", "2")
+        assert _observed(execute(circuit, options.replace(max_workers=None))) == serial
+
+    def test_sweep_bitwise_identical_across_workers(self):
+        from repro import Parameter
+
+        theta = Parameter("theta")
+        template = _random_circuit(12).ry(theta, 0).cx(0, 1)
+        options = _options(_pauli_model("depolarizing"), shots=24)
+        sweep = [{"theta": v} for v in (0.1, 0.7, 2.0)]
+        serial = [_observed(r) for r in execute(template, options, parameter_sweep=sweep)]
+        parallel = execute(template, options.replace(max_workers=2), parameter_sweep=sweep)
+        assert [_observed(r) for r in parallel] == serial
+
+
+STATE_DEPENDENT = {
+    "amplitude_damping": (
+        lambda: _random_circuit(4),
+        lambda: NoiseModel().add_channel(amplitude_damping(0.1)),
+    ),
+    "phase_damping": (
+        lambda: _random_circuit(4),
+        lambda: NoiseModel().add_channel(phase_damping(0.1)),
+    ),
+    "mixed_general_and_pauli": (
+        lambda: _random_circuit(4),
+        lambda: NoiseModel()
+        .add_channel(depolarizing(0.05), gates=["rx", "ry"])
+        .add_channel(amplitude_damping(0.1), gates=["rz"]),
+    ),
+    "measure": (
+        lambda: _random_circuit(4, num_qubits=3).measure(0, 0),
+        lambda: NoiseModel().add_channel(depolarizing(0.05)),
+    ),
+    "reset": (
+        lambda: _random_circuit(4, num_qubits=3).reset(1),
+        lambda: NoiseModel().add_channel(depolarizing(0.05)),
+    ),
+    "if_bit": (
+        lambda: _random_circuit(4, num_qubits=3)
+        .measure(0, 0)
+        .if_bit(0, 1, Instruction(get_gate("x"), (2,))),
+        lambda: NoiseModel().add_channel(depolarizing(0.05)),
+    ),
+    "pinned_clbits": (
+        lambda: Circuit(3, num_clbits=1).h(0).cx(0, 1),
+        lambda: NoiseModel().add_channel(depolarizing(0.05)),
+    ),
+}
+
+
+class TestStateDependentDrawsStayPerShot:
+    @pytest.mark.parametrize("case", sorted(STATE_DEPENDENT))
+    def test_one_evolution_per_trajectory(self, case, evolutions):
+        build_circuit, build_model = STATE_DEPENDENT[case]
+        result = execute(build_circuit(), _options(build_model(), shots=12))
+        assert len(evolutions) == 12
+        assert result.counts.shots == 12
+
+
+def _old_vdot_rule(channel, targets, state, draw):
+    """The state-dependent branch choice: weigh every Kraus candidate."""
+    k = len(targets)
+    candidates = [
+        np.moveaxis(
+            np.tensordot(
+                operator.reshape((2,) * (2 * k)),
+                state,
+                axes=(tuple(range(k, 2 * k)), targets),
+            ),
+            tuple(range(k)),
+            targets,
+        )
+        for operator in channel.kraus
+    ]
+    weights = [float(np.vdot(c, c).real) for c in candidates]
+    draw *= sum(weights)
+    cumulative = 0.0
+    chosen = None
+    for index, weight in enumerate(weights):
+        cumulative += weight
+        if weight > 0.0 and draw < cumulative:
+            chosen = index
+            break
+    if chosen is None:
+        chosen = int(np.argmax(weights))
+    return chosen, candidates[chosen] / np.sqrt(weights[chosen])
+
+
+class _FixedDraw:
+    def __init__(self, draw):
+        self.draw = draw
+
+    def random(self):
+        return self.draw
+
+
+class TestFixedWeightRule:
+    @pytest.mark.parametrize(
+        "channel, targets",
+        [
+            (depolarizing(0.3), (1,)),
+            (depolarizing(0.4, 2), (2, 0)),
+            (bit_flip(0.3), (0,)),
+            (phase_flip(0.3), (2,)),
+            (bit_phase_flip(0.3), (1,)),
+        ],
+        ids=["depolarizing", "depolarizing_2q", "bit_flip", "phase_flip", "bit_phase_flip"],
+    )
+    def test_same_branch_and_state_as_vdot_rule(self, channel, targets):
+        op = TrajectoryKrausOp.from_channel(channel, targets, np.complex128)
+        assert op.weights is not None
+        rng = np.random.default_rng(2024)
+        for _ in range(25):
+            state = rng.normal(size=8) + 1j * rng.normal(size=8)
+            state = (state / np.linalg.norm(state)).reshape(2, 2, 2)
+            for draw in rng.random(20):
+                chosen, expected = _old_vdot_rule(channel, targets, state, float(draw))
+                assert op.choose(float(draw)) == chosen
+                evolved = op.apply_pure(state, _FixedDraw(float(draw)), [])
+                assert np.allclose(evolved, expected, rtol=0.0, atol=1e-12)
+
+    @pytest.mark.parametrize("noise", sorted(PAULI_CHANNELS))
+    def test_whole_trajectories_match_vdot_rule(self, noise):
+        circuit = _random_circuit(21)
+        options = _options(_pauli_model(noise))
+        backend = get_backend("trajectory")
+        plan = compile_plan(circuit, backend, options)
+        channels = {
+            (channel.name, channel.num_qubits): channel
+            for channel, _ in PAULI_CHANNELS[noise]
+        }
+        for t in range(10):
+            state = np.zeros((2,) * circuit.num_qubits, dtype=complex)
+            state[(0,) * circuit.num_qubits] = 1.0
+            rng = np.random.default_rng(derive_seed(3, t))
+            for op in plan.ops:
+                if op.is_dynamic:
+                    channel = channels[op.name, len(op.targets)]
+                    state = _old_vdot_rule(channel, op.targets, state, rng.random())[1]
+                else:
+                    state = op.apply(state)
+            fixed = backend.execute_plan(plan, rng=np.random.default_rng(derive_seed(3, t)))
+            assert np.allclose(fixed.data, state.reshape(-1), rtol=0.0, atol=1e-12)
+
+    def test_general_channels_keep_weighing_every_branch(self):
+        plan = compile_plan(
+            Circuit(1).h(0),
+            "trajectory",
+            RunOptions(noise_model=NoiseModel().add_channel(amplitude_damping(0.2))),
+        )
+        (op,) = [op for op in plan.ops if op.is_dynamic]
+        assert op.weights is None

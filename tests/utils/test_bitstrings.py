@@ -51,6 +51,24 @@ def test_bitstring_to_index_rejects_invalid(bad):
         bitstring_to_index(bad)
 
 
+def _reference_valid(bitstring):
+    # The per-character rule the validator must agree with exactly.
+    return bool(bitstring) and all(c in "01" for c in bitstring)
+
+
+@pytest.mark.parametrize(
+    "key",
+    ["0", "1", "01", "10110", "0" * 64, "1" * 65,
+     "", "0 1", "+1", "0_1", "2", "\uff10", " 01", "01 ", "0\n", "-1", "0b1", "1a0"],
+)
+def test_bitstring_to_index_validation_matches_per_character_rule(key):
+    if _reference_valid(key):
+        assert bitstring_to_index(key) == int(key, 2)
+    else:
+        with pytest.raises(ValueError, match="invalid bitstring"):
+            bitstring_to_index(key)
+
+
 def test_hamming_weight():
     assert hamming_weight("0000") == 0
     assert hamming_weight("1011") == 3
