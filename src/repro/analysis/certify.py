@@ -42,6 +42,20 @@ structure the passes themselves must respect:
    instructions, built by the same ``(2,) * 2k`` tensordot contraction
    the simulator uses on states — cost ``4**k`` for the site's own
    width ``k``, never ``4**n``.
+4. **Reordered segments peel.**  Per-qubit fusion emits commuting
+   groups out of program order, so a fully fused segment leaves the
+   diff no anchors and its one hunk spans the register.  When a diff
+   site is too wide, or wider than every instruction of its segment,
+   the whole segment is also proven by peeling
+   (:func:`_peel_sites`): each rewritten instruction ``a`` in turn
+   must equal the shortest prefix of the original instructions inside
+   ``a``'s qubits that commute to the front (an instruction touching
+   ``a``'s qubits without fitting inside them blocks those qubits),
+   which is then removed; what is left at the end must multiply to the
+   identity, per qubit-connected component.  Each step is a local
+   check on ``a``'s qubits or one component.  Of the two proofs the
+   narrower is kept (:func:`_segment_proof`) — the diff alone proves
+   cross-gap cancellations at the width of the cancelled gates.
 
 A site whose support exceeds ``max_support`` is *not* silently trusted:
 it fails with ``certify-support-width`` (soundness over completeness).
@@ -52,6 +66,7 @@ tiny on every bench workload.
 from __future__ import annotations
 
 import difflib
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -200,18 +215,35 @@ def _local_operator(
     certificate exercises the same arithmetic it vouches for.
     """
     position = {qubit: axis for axis, qubit in enumerate(support)}
-    k = len(support)
-    operator = np.eye(1 << k, dtype=np.complex128).reshape((2,) * (2 * k))
+    operator = _identity(len(support))
     for instruction in instructions:
-        m = len(instruction.qubits)
-        gate = np.asarray(instruction.gate.matrix, dtype=np.complex128)
-        gate = gate.reshape((2,) * (2 * m))
-        targets = tuple(position[q] for q in instruction.qubits)
-        operator = np.tensordot(
-            gate, operator, axes=(tuple(range(m, 2 * m)), targets)
-        )
-        operator = np.moveaxis(operator, tuple(range(m)), targets)
+        operator = _apply(operator, instruction, position)
     return operator
+
+
+def _identity(k: int) -> np.ndarray:
+    return np.eye(1 << k, dtype=np.complex128).reshape((2,) * (2 * k))
+
+
+def _apply(
+    operator: np.ndarray, instruction: Instruction, position: Dict[int, int]
+) -> np.ndarray:
+    """``instruction`` applied after ``operator``; ``position`` maps qubits to axes."""
+    m = len(instruction.qubits)
+    gate = np.asarray(instruction.gate.matrix, dtype=np.complex128)
+    gate = gate.reshape((2,) * (2 * m))
+    targets = tuple(position[q] for q in instruction.qubits)
+    operator = np.tensordot(gate, operator, axes=(tuple(range(m, 2 * m)), targets))
+    return np.moveaxis(operator, tuple(range(m)), targets)
+
+
+def _deviation(
+    reference: np.ndarray, candidate: np.ndarray, up_to_global_phase: bool
+) -> float:
+    """Largest entrywise gap between two local operators."""
+    if up_to_global_phase:
+        candidate = _strip_global_phase(reference, candidate)
+    return float(np.max(np.abs(reference - candidate)))
 
 
 #: Site verdicts inside :func:`_segment_sites` (pre-diagnostic).
@@ -288,14 +320,10 @@ class _Site:
         if len(support) > max_support:
             self.verdict, self.deviation = _TOO_WIDE, 0.0
             return
-        operator_before = _local_operator(self.removed_instructions(), support)
-        operator_after = _local_operator(self.added_instructions(), support)
-        if up_to_global_phase:
-            operator_after = _strip_global_phase(
-                operator_before, operator_after
-            )
-        self.deviation = float(
-            np.max(np.abs(operator_before - operator_after))
+        self.deviation = _deviation(
+            _local_operator(self.removed_instructions(), support),
+            _local_operator(self.added_instructions(), support),
+            up_to_global_phase,
         )
         self.verdict = _OK if self.deviation <= atol else _NOT_EQUIVALENT
 
@@ -477,6 +505,138 @@ def _segment_sites(
     return sites
 
 
+def _peel_sites(
+    start_before: int,
+    run_before: Sequence[Instruction],
+    start_after: int,
+    run_after: Sequence[Instruction],
+    max_support: int,
+    atol: float,
+    up_to_global_phase: bool,
+) -> List[_Site]:
+    """The peel proof of one barrier-free segment pair (outline step 4).
+
+    Soundness: every instruction the scan passes without taking either
+    misses the rewritten instruction ``a``'s qubits, so it is disjoint
+    from each taken one, or blocks the qubits of ``a`` it touches.  The
+    taken instructions therefore commute to the front in order, the
+    original run equals its taken prefix followed by the rest, and a
+    prefix equal to ``a`` may be replaced by it.  Leftover components
+    act on disjoint qubits, so they commute.  The first failing step
+    ends the proof.
+    """
+    remaining = [
+        (0, k, start_before + k, instruction)
+        for k, instruction in enumerate(run_before)
+    ]
+    sites: List[_Site] = []
+    for k, rewritten in enumerate(run_after):
+        qubits = set(rewritten.qubits)
+        taken: List[int] = []
+        blocked: set = set()
+        for index, entry in enumerate(remaining):
+            touched = qubits.intersection(entry[3].qubits)
+            if not touched:
+                continue
+            if len(touched) == len(entry[3].qubits) and not touched & blocked:
+                taken.append(index)
+                continue
+            blocked |= touched
+            if blocked == qubits:
+                break
+        if taken and remaining[taken[0]][3] == rewritten:
+            # An unchanged instruction that commutes to the front anchors
+            # the proof, as an LCS match does: nothing to compare.
+            del remaining[taken[0]]
+            continue
+        site = _Site()
+        site.support = qubits
+        site.added = [(0, k, start_after + k, rewritten)]
+        sites.append(site)
+        if len(qubits) > max_support:
+            site.removed = [remaining[p] for p in taken]
+            site.verdict = _TOO_WIDE
+            break
+        support = tuple(sorted(qubits))
+        position = {qubit: axis for axis, qubit in enumerate(support)}
+        target = _local_operator([rewritten], support)
+        operator = _identity(len(support))  # the empty prefix
+        length = 0
+        site.deviation = _deviation(operator, target, up_to_global_phase)
+        while site.deviation > atol and length < len(taken):
+            operator = _apply(operator, remaining[taken[length]][3], position)
+            length += 1
+            site.deviation = _deviation(operator, target, up_to_global_phase)
+        site.removed = [remaining[p] for p in taken[:length]]
+        if site.deviation > atol:
+            site.verdict = _NOT_EQUIVALENT
+            break
+        site.verdict = _OK
+        for p in reversed(taken[:length]):
+            del remaining[p]
+    else:
+        leftover = _hunk_sites(0, remaining, [])
+        for site in leftover:
+            site.verify(max_support, atol, up_to_global_phase)
+        sites += leftover
+    sites.sort(key=lambda site: site.anchor())
+    return sites
+
+
+def _proof_rank(sites: Sequence[_Site]) -> Tuple[bool, float]:
+    """Proof order: certified before failed, then the narrower first."""
+    return (
+        any(site.verdict != _OK for site in sites),
+        max(
+            (
+                math.inf if site.verdict == _TOO_WIDE else len(site.support)
+                for site in sites
+            ),
+            default=0,
+        ),
+    )
+
+
+def _segment_proof(
+    start_before: int,
+    run_before: Sequence[Instruction],
+    start_after: int,
+    run_after: Sequence[Instruction],
+    max_support: int,
+    atol: float,
+    up_to_global_phase: bool,
+) -> List[_Site]:
+    """The verified sites of one segment pair: the diff, or the peel.
+
+    The LCS diff (:func:`_segment_sites`) proves cancellations across
+    gaps at the width of the cancelled gates.  When one of its sites is
+    too wide, or wider than every instruction of the segment — the mark
+    of a rewrite that reordered commuting groups — the peel
+    (:func:`_peel_sites`) runs too, and the narrower proof is kept
+    (a certified one before a failed one; the diff on ties).
+    """
+    args = (
+        start_before,
+        run_before,
+        start_after,
+        run_after,
+        max_support,
+        atol,
+        up_to_global_phase,
+    )
+    sites = _segment_sites(*args)
+    widest = max(
+        (len(instruction.qubits) for instruction in (*run_before, *run_after)),
+        default=0,
+    )
+    if all(
+        site.verdict != _TOO_WIDE and len(site.support) <= widest
+        for site in sites
+    ):
+        return sites
+    return min((sites, _peel_sites(*args)), key=_proof_rank)
+
+
 def _strip_global_phase(
     reference: np.ndarray, candidate: np.ndarray
 ) -> np.ndarray:
@@ -586,7 +746,7 @@ def certify_rewrite(
     for (start_before, run_before), (start_after, run_after) in zip(
         segments_before, segments_after
     ):
-        for site_record in _segment_sites(
+        for site_record in _segment_proof(
             start_before,
             run_before,
             start_after,

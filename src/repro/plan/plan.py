@@ -34,11 +34,11 @@ Four lowering modes exist, selected by the target backend's ``plan_mode``:
 * ``"ptm"`` — every gate *and* every channel becomes one real
   ``(4**k, 4**k)`` Pauli-transfer matrix contracting onto the ``(4,) * n``
   Pauli vector of rho (:class:`PTMOp`).  Because gates and noise now
-  compose by plain matrix multiplication, lowering keeps one open fusion
-  group per qubit and folds every gate and channel into the groups on its
-  qubits (up to :data:`PTM_FUSE_WIDTH` qubits per group) — channels stop
-  being fusion barriers, and runs on disjoint qubits fuse independently.
-  Dynamic instructions are rejected in this mode.
+  compose by plain matrix multiplication, lowering runs the transpile
+  layer's per-qubit :class:`~repro.transpile.fusion.FusionEngine` over
+  every gate *and* channel (up to :data:`PTM_FUSE_WIDTH` qubits per
+  group) — channels, which stop the statevector fusion pass, fold into
+  the groups here.  Dynamic instructions are rejected in this mode.
 
 Dynamic instructions (measure/reset/if_bit) lower to
 :class:`MeasureOp`/:class:`ResetOp`/:class:`ConditionalOp` in every mode.
@@ -70,6 +70,7 @@ import numpy as np
 
 from repro.circuit import Circuit, Parameter
 from repro.circuit.ptm import kraus_to_ptm
+from repro.transpile.fusion import FusionEngine, FusionGroup
 from repro.utils.exceptions import SimulationError
 from repro.utils.lru import LRUCache
 
@@ -89,10 +90,11 @@ DENSITY = "density"
 TRAJECTORY = "trajectory"
 PTM = "ptm"
 
-#: Maximum register width (qubits) of a fused PTM op, matching the
-#: default width cap of :class:`~repro.transpile.FuseAdjacentGates`: a
-#: fused (4**k, 4**k) block costs 16**k multiplies per contraction, so
-#: runaway widening would undo the fusion win.
+#: Width cap (qubits) of ptm lowering's fusion groups, equal to the
+#: default ``max_width`` of :class:`~repro.transpile.FuseAdjacentGates`,
+#: which runs the same :class:`~repro.transpile.fusion.FusionEngine` on
+#: unitaries.  A fused (4**k, 4**k) block costs 16**k multiplies per
+#: contraction, so runaway widening would undo the fusion win.
 PTM_FUSE_WIDTH = 2
 
 #: Density-mode classical branches below this trace weight are dropped:
@@ -936,66 +938,6 @@ def _lower_dynamic(
     return ConditionalOp(operation.clbit, operation.value, inner)
 
 
-def _kron(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two square matrices by one broadcast multiply."""
-    a, b = left.shape[0], right.shape[0]
-    return (left[:, None, :, None] * right[None, :, None, :]).reshape(a * b, a * b)
-
-
-class _PTMFusionGroup:
-    """An open run of PTMs on a few qubits, fused into one op at lowering time.
-
-    ``matrix`` is the product of every member so far, a
-    ``(4**w, 4**w)`` PTM on ``qubits`` in slot order (the first qubit is
-    the most significant base-4 digit).  :meth:`merge` joins a group on
-    disjoint qubits by a Kronecker product — such groups commute — and
-    :meth:`absorb` left-multiplies an incoming PTM without embedding it:
-    once the incoming qubits sit at contiguous slots ``p .. p+k-1``, the
-    product is one ``np.matmul`` over the ``(4**p, 4**k, -1)`` view.
-    Nothing here mutates its inputs, so cached gate/channel PTMs stay
-    shared until a second member actually arrives.
-    """
-
-    __slots__ = ("qubits", "matrix", "names")
-
-    def __init__(
-        self, qubits: Sequence[int], matrix: np.ndarray, name: str
-    ) -> None:
-        self.qubits = list(qubits)
-        self.matrix = matrix
-        self.names = [name]
-
-    def merge(self, other: "_PTMFusionGroup") -> None:
-        self.matrix = _kron(self.matrix, other.matrix)
-        self.qubits += other.qubits
-        self.names += other.names
-
-    def absorb(self, qubits: Sequence[int], matrix: np.ndarray, name: str) -> None:
-        new = [q for q in qubits if q not in self.qubits]
-        if new:
-            self.matrix = _kron(self.matrix, np.eye(4 ** len(new)))
-            self.qubits += new
-        k = len(qubits)
-        start = self.qubits.index(qubits[0])
-        if self.qubits[start : start + k] != list(qubits):
-            # Reorder the slots so the incoming qubits close the register
-            # in the incoming order: a permutation of rows and columns.
-            order = [q for q in self.qubits if q not in qubits] + list(qubits)
-            width = len(order)
-            axes = [self.qubits.index(q) for q in order]
-            tensor = self.matrix.reshape((4,) * (2 * width))
-            self.matrix = tensor.transpose(axes + [a + width for a in axes]).reshape(
-                4**width, 4**width
-            )
-            self.qubits = order
-            start = width - k
-        dim = self.matrix.shape[0]
-        self.matrix = np.matmul(
-            matrix, self.matrix.reshape(4**start, 4**k, -1)
-        ).reshape(dim, dim)
-        self.names.append(name)
-
-
 def _lower_ptm(
     circuit: Circuit,
     dtype: np.dtype,
@@ -1004,58 +946,28 @@ def _lower_ptm(
 ) -> ExecutionPlan:
     """Lower a circuit into fused :class:`PTMOp` runs for the ptm mode.
 
-    Gates and channels alike arrive as real PTMs.  Each qubit has at most
-    one open :class:`_PTMFusionGroup`, and the open groups are pairwise
-    disjoint.  An incoming PTM merges every open group on its qubits and
-    joins them, as long as the union fits :data:`PTM_FUSE_WIDTH`;
-    otherwise only those groups are emitted, and the incoming PTM opens a
-    new group.  Groups on other qubits stay open: they commute with
-    everything emitted meanwhile, so a noisy layer collapses into one op
-    per pair of interacting qubits — the statevector fusion pass must
-    stop at every channel, this lowering never does.  Parametric slots
-    (unknown matrices) and ops wider than the cap emit only the groups on
-    their own qubits.  Groups still open at the end are emitted in
-    creation order.
+    Gates and channels alike arrive as real PTMs and feed one
+    :class:`~repro.transpile.fusion.FusionEngine` at local dimension 4:
+    the per-qubit engine behind the statevector pass
+    :class:`~repro.transpile.FuseAdjacentGates`, with the same merge
+    rules, capped at :data:`PTM_FUSE_WIDTH`.  The difference is what a
+    channel does: the statevector pass must emit every open group at a
+    channel (a Kraus map has no unitary to fold), while this lowering
+    folds the channel's PTM into the groups on its qubits, so a noisy
+    layer still collapses into one op per pair of interacting qubits.
+    Parametric slots (unknown matrices) emit only the groups on their
+    own qubits.  Each op is named after its members
+    (``"h+depolarizing+cx+depolarizing"``).
     """
     n = circuit.num_qubits
     ops: List[PlanOp] = []
-    # Open groups in creation order (a dict as an ordered set), and the
-    # open group, if any, that owns each qubit.
-    open_groups: Dict[_PTMFusionGroup, None] = {}
-    owner: Dict[int, _PTMFusionGroup] = {}
 
-    def touching(qubits: Sequence[int]) -> List[_PTMFusionGroup]:
-        return list(dict.fromkeys(owner[q] for q in qubits if q in owner))
+    def emit(group: FusionGroup) -> None:
+        ops.append(
+            PTMOp("+".join(group.members), group.matrix, tuple(group.qubits), dtype)
+        )
 
-    def emit(groups: Sequence[_PTMFusionGroup]) -> None:
-        for group in groups:
-            del open_groups[group]
-            for q in group.qubits:
-                del owner[q]
-            ops.append(
-                PTMOp("+".join(group.names), group.matrix, tuple(group.qubits), dtype)
-            )
-
-    def feed(name: str, ptm: np.ndarray, qubits: Sequence[int]) -> None:
-        touched = touching(qubits)
-        if len(qubits) > PTM_FUSE_WIDTH:
-            emit(touched)
-            ops.append(PTMOp(name, ptm, tuple(qubits), dtype))
-            return
-        width = len(set(qubits).union(*(g.qubits for g in touched)))
-        if not touched or width > PTM_FUSE_WIDTH:
-            emit(touched)
-            group = _PTMFusionGroup(qubits, ptm, name)
-            open_groups[group] = None
-        else:
-            group = touched[0]
-            for other in touched[1:]:
-                group.merge(other)
-                del open_groups[other]
-            group.absorb(qubits, ptm, name)
-        for q in group.qubits:
-            owner[q] = group
-
+    fusion = FusionEngine(4, PTM_FUSE_WIDTH, emit)
     for index, instruction in enumerate(circuit):
         operation = instruction.operation
         if instruction.is_dynamic:
@@ -1066,30 +978,30 @@ def _lower_ptm(
                 "backend='trajectory'"
             )
         if instruction.is_channel:
-            feed(operation.name, operation.ptm, instruction.qubits)
+            fusion.feed(instruction.qubits, operation.ptm, operation.name)
             continue
         if instruction.is_parametric:
-            emit(touching(instruction.qubits))
+            fusion.emit_on(instruction.qubits)
             ops.append(
                 ParametricSlotOp(
                     operation.name, operation.params, instruction.qubits, index
                 )
             )
         else:
-            feed(
-                operation.name,
+            fusion.feed(
+                instruction.qubits,
                 _gate_ptm(
                     operation.name,
                     operation.params,
                     operation.matrix,
                     len(instruction.qubits),
                 ),
-                instruction.qubits,
+                operation.name,
             )
         if noise_model is not None:
             for channel, qubits in noise_model.channels_for(instruction):
-                feed(channel.name, channel.ptm, qubits)
-    emit(list(open_groups))
+                fusion.feed(qubits, channel.ptm, channel.name)
+    fusion.emit_all()
     return ExecutionPlan(
         PTM,
         n,

@@ -12,7 +12,7 @@ through :func:`transpile` without the transpiler ever importing a backend.
 
 from repro.transpile.base import Pass, PassManager, PassStats, transpile, default_passes
 from repro.transpile.cleanup import CancelInversePairs, DropIdentities
-from repro.transpile.fusion import FuseAdjacentGates, embed_matrix
+from repro.transpile.fusion import FuseAdjacentGates
 
 __all__ = [
     "CancelInversePairs",
@@ -22,6 +22,5 @@ __all__ = [
     "PassManager",
     "PassStats",
     "default_passes",
-    "embed_matrix",
     "transpile",
 ]

@@ -176,8 +176,9 @@ class PassManager:
             from repro.analysis.certify import certify_rewrite
         stats: List[PassStats] = []
         current = circuit
+        depth_before = current.depth()
         for pass_ in self._passes:
-            gates_before, depth_before = len(current), current.depth()
+            gates_before = len(current)
             result = pass_.run(current)
             if not isinstance(result, Circuit):
                 raise TranspilerError(
@@ -194,17 +195,18 @@ class PassManager:
                 certificate = certify_rewrite(
                     current, result, pass_.name
                 ).raise_if_failed()
+            depth_after = result.depth()
             stats.append(
                 PassStats(
                     pass_.name,
                     gates_before,
                     len(result),
                     depth_before,
-                    result.depth(),
+                    depth_after,
                     certificate,
                 )
             )
-            current = result
+            current, depth_before = result, depth_after
         self._last_stats = tuple(stats)
         return current
 

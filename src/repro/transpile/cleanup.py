@@ -11,6 +11,17 @@ from repro.transpile.base import Pass
 from repro.utils.exceptions import TranspilerError
 
 
+def _within_atol(matrix: np.ndarray, reference: np.ndarray, atol: float) -> bool:
+    """``np.allclose(matrix, reference, rtol=0.0, atol=atol)``, without its overhead.
+
+    The tolerance is absolute: ``np.allclose``'s default relative
+    tolerance (1e-5) would silently dominate a tight ``atol`` and accept
+    measurably different matrices.  A NaN or infinite entry is never
+    close to a finite reference, as in ``np.allclose``.
+    """
+    return float(np.max(np.abs(matrix - reference))) <= atol
+
+
 class DropIdentities(Pass):
     """Remove gates whose matrix is the identity within tolerance.
 
@@ -29,17 +40,13 @@ class DropIdentities(Pass):
         self.up_to_global_phase = bool(up_to_global_phase)
 
     def _is_droppable(self, matrix: np.ndarray) -> bool:
-        # rtol=0: np.allclose's default relative tolerance (1e-5) would
-        # silently dominate a tight atol and drop measurably non-trivial
-        # gates; the advertised tolerance must be absolute and exact.
-        dim = matrix.shape[0]
-        eye = np.eye(dim)
-        if np.allclose(matrix, eye, rtol=0.0, atol=self.atol):
+        eye = np.eye(matrix.shape[0])
+        if _within_atol(matrix, eye, self.atol):
             return True
         if self.up_to_global_phase:
             phase = matrix[0, 0]
-            return abs(abs(phase) - 1.0) <= self.atol and np.allclose(
-                matrix, phase * eye, rtol=0.0, atol=self.atol
+            return abs(abs(phase) - 1.0) <= self.atol and _within_atol(
+                matrix, phase * eye, self.atol
             )
         return False
 
@@ -88,13 +95,8 @@ class CancelInversePairs(Pass):
         candidate = resolve_inverse(first.name, first.params)
         if candidate is not None and candidate == second:
             return True
-        dim = first.matrix.shape[0]
-        # rtol=0 as in DropIdentities: the tolerance is absolute.
-        return bool(
-            np.allclose(
-                second.matrix @ first.matrix, np.eye(dim), rtol=0.0, atol=self.atol
-            )
-        )
+        product = second.matrix @ first.matrix
+        return _within_atol(product, np.eye(product.shape[0]), self.atol)
 
     def run(self, circuit: Circuit) -> Circuit:
         kept: List[Instruction] = []

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.gates import available_gates, gate_arity, get_gate, register_gate
+from repro.gates import available_gates, gate_arity, get_gate, register_gate, registry
 from repro.utils.exceptions import CircuitError
 
 EXPECTED_GATES = {
@@ -94,6 +94,14 @@ def test_register_gate_rejects_duplicates_and_accepts_new():
 
     register_gate("test_only_sx", 1, 0, lambda: np.array(
         [[1 + 1j, 1 - 1j], [1 - 1j, 1 + 1j]], dtype=complex) / 2)
-    gate = get_gate("test_only_sx")
-    assert gate.is_unitary()
-    assert np.allclose(gate.matrix @ gate.matrix, get_gate("x").matrix)
+    try:
+        gate = get_gate("test_only_sx")
+        assert gate.is_unitary()
+        assert np.allclose(gate.matrix @ gate.matrix, get_gate("x").matrix)
+    finally:
+        # The registry is process-wide: a leaked gate would change what
+        # available_gates() offers to every later test in the session.
+        del registry._REGISTRY["test_only_sx"]
+        with registry._GATE_CACHE._lock:
+            registry._GATE_CACHE._data.pop(("test_only_sx", ()), None)
+    assert "test_only_sx" not in available_gates()

@@ -111,3 +111,46 @@ class TestCancelInversePairs:
         result = CancelInversePairs().run(circuit)
         assert [i.gate.name for i in result] == ["h", "t"]
         assert run(result).fidelity(run(circuit)) == pytest.approx(1.0)
+
+
+_ATOL = 1e-9
+
+
+def _perturbed(row, col, value, dim=2):
+    matrix = np.eye(dim, dtype=complex)
+    matrix[row, col] = value
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "matrix",
+    [
+        np.eye(2, dtype=complex),
+        _perturbed(0, 1, _ATOL),
+        _perturbed(0, 1, -_ATOL),
+        _perturbed(0, 1, 1j * _ATOL),
+        _perturbed(1, 0, np.nextafter(_ATOL, 1.0)),
+        _perturbed(0, 0, 1.0 + _ATOL),
+        _perturbed(0, 0, 1.0 - _ATOL),
+        _perturbed(1, 1, np.nan),
+        _perturbed(1, 1, complex(np.nan, 0.0)),
+        _perturbed(0, 1, np.inf),
+        _perturbed(0, 1, -np.inf),
+        _perturbed(1, 1, complex(1.0, np.inf)),
+        _perturbed(2, 3, 0.5 * _ATOL, dim=4),
+        -np.eye(2, dtype=complex),
+    ],
+)
+def test_absolute_tolerance_matches_allclose(matrix):
+    """The cleanup passes' identity test accepts what np.allclose(rtol=0) does."""
+    from repro.transpile.cleanup import _within_atol
+
+    eye = np.eye(matrix.shape[0])
+    expected = bool(np.allclose(matrix, eye, rtol=0.0, atol=_ATOL))
+    assert _within_atol(matrix, eye, _ATOL) is expected
+    assert DropIdentities(atol=_ATOL)._is_droppable(matrix) is expected
+    gate = unitary_gate(matrix, validate=False)
+    identity = unitary_gate(np.eye(matrix.shape[0]), validate=False)
+    with np.errstate(invalid="ignore"):
+        inverse = CancelInversePairs(atol=_ATOL)._are_inverse(identity, gate)
+    assert inverse is expected

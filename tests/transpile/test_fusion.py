@@ -1,52 +1,15 @@
-"""Tests for FuseAdjacentGates and the matrix-embedding helper."""
+"""Tests for FuseAdjacentGates, the per-qubit statevector fusion pass."""
 
-import numpy as np
 import pytest
 
 from repro.circuit import Circuit
-from repro.gates import get_gate
 from repro.sim import run
-from repro.transpile import FuseAdjacentGates, embed_matrix
+from repro.transpile import FuseAdjacentGates
 from repro.utils.exceptions import TranspilerError
 
 
 def _fidelity(a, b):
     return run(a).fidelity(run(b))
-
-
-class TestEmbedMatrix:
-    def test_identity_embedding_is_noop(self):
-        m = get_gate("h").matrix
-        assert np.array_equal(embed_matrix(m, [0], 1), m)
-
-    def test_single_qubit_into_two(self):
-        x = get_gate("x").matrix
-        # X on the most significant qubit of a 2-qubit space.
-        expected = np.kron(x, np.eye(2))
-        assert np.allclose(embed_matrix(x, [0], 2), expected)
-        # X on the least significant qubit.
-        assert np.allclose(embed_matrix(x, [1], 2), np.kron(np.eye(2), x))
-
-    def test_qubit_order_permutation(self):
-        cx = get_gate("cx").matrix
-        # cx with control = LSB slot, target = MSB slot: |a b> -> |a^b b>.
-        swapped = embed_matrix(cx, [1, 0], 2)
-        basis = np.eye(4)
-        # |01> (index 1: qubit0=0, qubit1=1) -> |11> (index 3)
-        assert np.allclose(swapped @ basis[:, 1], basis[:, 3])
-        # |10> -> |10> (control qubit1 = 0)
-        assert np.allclose(swapped @ basis[:, 2], basis[:, 2])
-
-    def test_invalid_positions_rejected(self):
-        m = get_gate("h").matrix
-        with pytest.raises(TranspilerError):
-            embed_matrix(m, [0, 0], 2)
-        with pytest.raises(TranspilerError):
-            embed_matrix(m, [2], 2)
-        with pytest.raises(TranspilerError):
-            embed_matrix(get_gate("cx").matrix, [0], 2)
-        with pytest.raises(TranspilerError):
-            embed_matrix(get_gate("cx").matrix, [0, 1], 1)
 
 
 class TestFuseAdjacentGates:
