@@ -26,7 +26,7 @@ Layering (each layer depends only on the ones above it)::
     repro.execution    execute() front door: RunOptions, Job, Result/BatchResult
     repro.service      parallel worker pool (process sharding of shots,
                        sweeps, batches) + execute_async() bounded job queue
-    repro.bench        benchmark workloads + JSON-reporting harness
+    repro.bench        canonical benchmark workload circuits
 
 The public API re-exported here is the supported surface; module internals
 may move between PRs.
@@ -39,7 +39,6 @@ from repro.analysis import (
     analyze,
     verify_plan,
 )
-from repro.bench import run_suite
 from repro.circuit import (
     Channel,
     Circuit,
@@ -137,7 +136,7 @@ from repro.utils import (
     spawn_seeds,
 )
 
-__version__ = "0.9.0"
+__version__ = "0.10.0"
 
 __all__ = [
     "__version__",
@@ -218,8 +217,6 @@ __all__ = [
     "ExecutionService",
     "configure_default_service",
     "execute_async",
-    # benchmarks
-    "run_suite",
     # utils: exceptions
     "ReproError",
     "AnalysisError",

@@ -68,9 +68,9 @@ def _lint_one(
 def _dynamic_workload(num_qubits: int) -> Circuit:
     """A measure/reset/if_bit circuit exercising the dynamic-op barriers.
 
-    Not part of :func:`default_workloads` (the bench suite times static
-    evolution); built here so the certify gate always covers the
-    dataflow-certificate path.
+    Not part of :func:`default_workloads` (those circuits are static);
+    built here so the certify gate always covers the dataflow-certificate
+    path.
     """
     from repro.gates import get_gate
 

@@ -1,18 +1,13 @@
-"""Benchmark harness: canonical workloads timed with and without fusion.
+"""Canonical benchmark workloads: seeded circuit families at fixed sizes.
 
-``run_suite`` executes each workload unfused and transpiled on its
-backend (statevector or density-matrix, noisy families included), records
-wall-times, gate counts and seeded counts/expectation-equivalence checks
-through the unified ``repro.execute`` front door, and returns a
-JSON-stable report (``schema_version`` 7).  On noisy (density-matrix)
-rows the same fused circuit is also raced on the Pauli-transfer-matrix
-backend, recording ``ptm_speedup_vs_density`` alongside counts- and
-expectation-equivalence checks.  ``python -m repro.bench --json`` is the
-CLI entry point; ``--smoke`` selects the small configuration CI runs on
-every push, ``--sweep`` adds the batched parameter-sweep benchmark.
+:func:`default_workloads` names each family at the sizes the analysis
+CLI (``python -m repro.analysis --smoke`` / ``--certify``) and the test
+suite run; noisy families pin the density-matrix backend.  The repo
+benchmark itself lives in ``perfbench/`` and builds its own inputs, and
+``tools/check_speed_floors.py`` races the smoke workloads across
+engines and execution modes.
 """
 
-from repro.bench.harness import SCHEMA_VERSION, run_suite
 from repro.bench.workloads import (
     Workload,
     brickwork_depolarized,
@@ -27,7 +22,6 @@ from repro.bench.workloads import (
 )
 
 __all__ = [
-    "SCHEMA_VERSION",
     "Workload",
     "brickwork_depolarized",
     "default_workloads",
@@ -37,6 +31,5 @@ __all__ = [
     "layered_rotations",
     "parameterized_rotations",
     "random_dense",
-    "run_suite",
     "sweep_bindings",
 ]

@@ -26,8 +26,9 @@ the fused and unfused runs stay distribution-identical.
 
 Each family is exposed both as a plain circuit builder and, via
 :func:`default_workloads`, as named :class:`Workload` entries with the
-sizes the suite runs at (n = 8..16 full statevector, n = 4..8 for the
-O(4**n)-memory density-matrix families, smaller for ``--smoke``).
+sizes the analysis CLI and the tests use (n = 8..16 full statevector,
+n = 6..8 for the O(4**n)-memory density-matrix families, smaller with
+``smoke=True``).
 """
 
 from __future__ import annotations
@@ -39,14 +40,14 @@ from repro.utils.rng import ensure_rng
 
 
 class Workload:
-    """A named, deterministic circuit factory for the bench suite.
+    """A named, deterministic circuit factory.
 
-    ``backend`` pins the workload to a registered backend name (``None``
-    defers to the suite default); ``noise`` is a human-readable label of
-    the noise baked into the built circuit (``None`` for noiseless).
+    ``backend`` pins the workload to a registered backend name; ``None``
+    means the statevector default.  Noisy workloads embed their channels
+    in the built circuit and pin ``"density_matrix"``.
     """
 
-    __slots__ = ("name", "num_qubits", "_build", "backend", "noise")
+    __slots__ = ("name", "num_qubits", "_build", "backend")
 
     def __init__(
         self,
@@ -54,20 +55,17 @@ class Workload:
         num_qubits: int,
         build: Callable[[], Circuit],
         backend: Optional[str] = None,
-        noise: Optional[str] = None,
     ) -> None:
         self.name = name
         self.num_qubits = num_qubits
         self._build = build
         self.backend = backend
-        self.noise = noise
 
     def build(self) -> Circuit:
         return self._build()
 
     def __repr__(self) -> str:
         extra = f", backend={self.backend}" if self.backend else ""
-        extra += f", noise={self.noise}" if self.noise else ""
         return f"Workload({self.name}, n={self.num_qubits}{extra})"
 
 
@@ -202,8 +200,8 @@ def parameterized_rotations(
     Per layer: an ``ry(theta_l_q)`` on every qubit (each angle its own
     :class:`~repro.circuit.Parameter`) followed by CX brickwork.  Returns
     the unbound circuit together with its parameters in binding order —
-    the bench ``--sweep`` mode and the execute() tests stamp this
-    template out over many bindings through a single transpile.
+    the sweep tests and the speed-floor script stamp this template out
+    over many bindings through a single transpile.
     """
     parameters: List[Parameter] = []
     circuit = Circuit(num_qubits, name=f"parameterized_rotations_{num_qubits}")
@@ -236,7 +234,7 @@ def sweep_bindings(
 
 
 def default_workloads(smoke: bool = False) -> List[Workload]:
-    """The suite's workload list: 5 families x sizes (small for smoke).
+    """The workload list: 6 families x sizes (small for smoke).
 
     Density-matrix families run at smaller widths than the statevector
     ones — mixed-state memory is O(4**n), so n = 10 density costs what
@@ -250,11 +248,6 @@ def default_workloads(smoke: bool = False) -> List[Workload]:
     # is measured where it matters.
     brickwork_layers = 3 if smoke else 6
     gates_per_qubit = 6 if smoke else 12
-    # One constant per noisy family, threaded through both the builder
-    # call and the report label so they can never disagree.
-    depolarizing_p = 0.02
-    damping_gamma = 0.03
-    brickwork_p = 0.01
     workloads: List[Workload] = []
     for n in sizes:
         workloads.append(Workload("ghz", n, lambda n=n: ghz(n)))
@@ -277,29 +270,24 @@ def default_workloads(smoke: bool = False) -> List[Workload]:
             Workload(
                 "ghz_depolarizing",
                 n,
-                lambda n=n: ghz_depolarizing(n, p=depolarizing_p),
+                lambda n=n: ghz_depolarizing(n),
                 backend="density_matrix",
-                noise=f"depolarizing(p={depolarizing_p:g})",
             )
         )
         workloads.append(
             Workload(
                 "layered_damped",
                 n,
-                lambda n=n: layered_damped(n, layers=layers, gamma=damping_gamma),
+                lambda n=n: layered_damped(n, layers=layers),
                 backend="density_matrix",
-                noise=f"amplitude_damping(gamma={damping_gamma:g})",
             )
         )
         workloads.append(
             Workload(
                 "brickwork_depolarized",
                 n,
-                lambda n=n: brickwork_depolarized(
-                    n, layers=brickwork_layers, p=brickwork_p
-                ),
+                lambda n=n: brickwork_depolarized(n, layers=brickwork_layers),
                 backend="density_matrix",
-                noise=f"depolarizing(p={brickwork_p:g}) per gate",
             )
         )
     return workloads

@@ -1,7 +1,7 @@
 """Execution layer: the ``execute()`` front door and its result model.
 
 ``execute(circuits, **options)`` replaces the per-function kwarg sprawl
-of ``run()`` / ``sample_counts()`` / ``run_suite()`` with one surface:
+of ``run()`` / ``sample_counts()`` with one surface:
 a frozen :class:`RunOptions` bundle, a lazy :class:`Job` handle, and
 :class:`Result` / :class:`BatchResult` objects carrying the final state,
 counts, per-observable expectation values, and timing metadata.  The

@@ -431,7 +431,7 @@ def _trajectory_element(
     Counts/memory tally the per-trajectory outcomes; expectation values
     are the trajectory **means** of the per-trajectory exact values, with
     the standard error of each mean surfaced as ``expectation_std`` (the
-    statistical handle the bench agreement gate uses).  Trajectories
+    statistical handle the 5-sigma agreement tests use).  Trajectories
     shard across the worker pool exactly like shot shards — merged in
     shard order over absolute-index seeds, so ``max_workers`` never
     changes the result.

@@ -1,7 +1,7 @@
 """The frozen :class:`RunOptions` bundle: one object for every run knob.
 
-Before this layer existed, ``run()``, ``sample_counts()`` and the bench
-harness each restated the same growing keyword list by hand.  Every
+Before this layer existed, ``run()`` and ``sample_counts()`` each
+restated the same growing keyword list by hand.  Every
 execution-shaped entry point — :func:`repro.execute`,
 :meth:`BaseBackend.run <repro.sim.BaseBackend.run>`, the sampler — now
 accepts this one immutable object instead, so adding a knob is a

@@ -3,8 +3,8 @@
 Every simulator is a :class:`BaseBackend` subclass exposing the same
 ``run(circuit, initial_state=None, options=None)`` surface, taking a
 single :class:`~repro.execution.RunOptions` object and returning a state
-with ``num_qubits`` and ``probabilities()``.  The execution layer,
-sampler and bench harness therefore dispatch by *name* through
+with ``num_qubits`` and ``probabilities()``.  The execution layer
+and sampler therefore dispatch by *name* through
 :func:`get_backend` instead of hard-coding a backend class.  Backends
 register themselves at import time (``repro.sim`` imports the four
 shipped backends), and user backends join via :func:`register_backend`.

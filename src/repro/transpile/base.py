@@ -112,8 +112,8 @@ class PassManager:
     ``run`` applies each pass in order, validating that every stage hands
     back a :class:`Circuit` of unchanged register width.  Statistics for
     the most recent :meth:`run` are kept on :attr:`last_stats` so callers
-    (e.g. the bench harness) can report per-pass gate/depth deltas without
-    re-measuring.
+    (e.g. ``compile_plan``'s ``pass_stats``) can report per-pass gate/depth
+    deltas without re-measuring.
 
     With ``certify=True`` (set here or per :meth:`run`), every pass
     application is proven semantically equivalent by

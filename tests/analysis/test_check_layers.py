@@ -33,7 +33,7 @@ class TestLayerResolution:
 
     def test_facade_and_cli_are_top(self, lint):
         assert lint.layer_of("repro")[1] == lint.TOP_RANK
-        assert lint.layer_of("repro.bench.__main__")[1] == lint.TOP_RANK
+        assert lint.layer_of("repro.analysis.__main__")[1] == lint.TOP_RANK
 
     def test_unknown_module_has_no_rank(self, lint):
         assert lint.layer_of("somewhere.else") is None
@@ -75,7 +75,7 @@ class TestViolationsAreCaught:
         assert "repro.sim" in violations[0]
 
     def test_unwhitelisted_lazy_import(self, lint, monkeypatch, tmp_path):
-        source = "def f():\n    from repro.bench import run_suite\n"
+        source = "def f():\n    from repro.bench import default_workloads\n"
         violations = self._run_on(lint, monkeypatch, tmp_path, source)
         assert len(violations) == 1
         assert "not in the lazy whitelist" in violations[0]

@@ -5,7 +5,8 @@ the hot path.  These tests run real interpreters (subprocesses, so no
 pollution from the test session's own imports) and assert the certifier
 and sanitizer modules are absent from ``sys.modules`` after exercising
 the default execution paths — and present once the feature is switched
-on, proving the lazy mechanism actually resolves.
+on, proving the lazy mechanism actually resolves.  The benchmark
+workloads (``repro.bench``) stay out of those paths too.
 """
 
 import subprocess
@@ -13,7 +14,7 @@ import sys
 
 import pytest
 
-_GUARDED = ("repro.analysis.certify", "repro.analysis.sanitize")
+_GUARDED = ("repro.analysis.certify", "repro.analysis.sanitize", "repro.bench")
 
 
 def _run(body: str) -> None:

@@ -149,6 +149,9 @@ class TestBatchedSweepMatchesIndependentRuns:
         assert per_element.metadata["sweep_mode"] == "per_element"
         for a, b in zip(batched.expectation_values, per_element.expectation_values):
             assert a[0] == pytest.approx(b[0], abs=1e-12)
+        # A batched re-run reproduces the expectations bitwise.
+        again = execute(template, observables=observable, parameter_sweep=bindings)
+        assert again.expectation_values == batched.expectation_values
 
     def test_density_sweep_matches_bind_plus_run(self):
         # Density sweeps take the per-element path off one compiled plan;

@@ -105,6 +105,9 @@ class TestSweepParity:
             template, parameter_sweep=_sweep(), max_workers=WORKERS, **kwargs
         )
         _assert_results_equal(serial, parallel)
+        # An explicit max_workers=1 is the default serial path, bitwise.
+        workers1 = execute(template, parameter_sweep=_sweep(), max_workers=1, **kwargs)
+        _assert_results_equal(serial, workers1)
 
     def test_sweep_with_memory(self):
         template = _template()

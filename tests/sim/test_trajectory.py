@@ -26,6 +26,7 @@ from repro import (
     phase_damping,
     phase_flip,
 )
+from repro.bench import ghz_depolarizing, layered_damped
 from repro.execution import api
 from repro.plan import TrajectoryKrausOp
 from repro.sampling.sampler import readout_probabilities
@@ -71,14 +72,22 @@ class TestUnbiasedness:
     """Trajectory averages estimate the exact density-matrix expectations."""
 
     @pytest.mark.parametrize(
-        "circuit, model",
+        "circuit, model, shots, seed",
         [
-            (_ghz(4), NoiseModel().add_channel(depolarizing(0.05))),
-            (_layered(3), NoiseModel().add_channel(amplitude_damping(0.1))),
+            (_ghz(4), NoiseModel().add_channel(depolarizing(0.05)), 512, 11),
+            (_layered(3), NoiseModel().add_channel(amplitude_damping(0.1)), 512, 11),
+            # Embedded channels at n = 10, where trajectories pay off.
+            (ghz_depolarizing(10), None, 128, 1234),
+            (layered_damped(10, layers=2), None, 128, 1234),
         ],
-        ids=["ghz_depolarizing", "layered_damped"],
+        ids=[
+            "ghz_depolarizing",
+            "layered_damped",
+            "ghz_depolarizing_10",
+            "layered_damped_10",
+        ],
     )
-    def test_within_five_sigma_of_density(self, circuit, model):
+    def test_within_five_sigma_of_density(self, circuit, model, shots, seed):
         observables = tuple(
             Pauli("Z", qubits=(q,)) for q in range(circuit.num_qubits)
         )
@@ -92,8 +101,8 @@ class TestUnbiasedness:
             circuit,
             RunOptions(
                 backend="trajectory",
-                shots=512,
-                seed=11,
+                shots=shots,
+                seed=seed,
                 noise_model=model,
                 observables=observables,
             ),

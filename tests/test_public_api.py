@@ -37,7 +37,6 @@ class TestAll:
             "DropIdentities",
             "CancelInversePairs",
             "unitary_gate",
-            "run_suite",
             # noise + multi-backend surface
             "Channel",
             "NoiseModel",
