@@ -13,7 +13,9 @@ also fails on warnings).
 bench families — channel circuits included — plus the parametric sweep
 template and a measure/reset/if_bit dynamic circuit) is transpiled
 through the default pass pipeline under certification
-(:func:`repro.analysis.certify_rewrite`), and the run exits non-zero if
+(:func:`repro.analysis.certify_rewrite`), fusing at the width
+:func:`repro.plan.fusion_width` gives the workload's backend, as
+:func:`repro.plan.compile_plan` does, and the run exits non-zero if
 any pass application cannot be *proven* semantically equivalent.  The
 certifier only ever builds local operators on each rewrite's support
 (never a dense ``2^n`` matrix), so this gate is cheap enough for CI:
@@ -33,7 +35,7 @@ from repro.analysis import AnalysisContext, analyze, verify_plan
 from repro.analysis.diagnostics import AnalysisReport
 from repro.bench.workloads import default_workloads, parameterized_rotations
 from repro.circuit import Circuit, Instruction
-from repro.plan import compile_plan
+from repro.plan import compile_plan, fusion_width
 from repro.sim import get_backend
 
 
@@ -89,12 +91,15 @@ def _dynamic_workload(num_qubits: int) -> Circuit:
     return circuit
 
 
-def _certify_one(name: str, num_qubits: int, circuit: Circuit) -> dict:
-    """Certify the default pipeline over one circuit; one JSON-ready row."""
+def _certify_one(name: str, num_qubits: int, circuit: Circuit, width: int) -> dict:
+    """Certify the default pipeline, fusing at ``width``, over one circuit.
+
+    Returns one JSON-ready row.
+    """
     from repro.transpile import PassManager, default_passes
     from repro.utils.exceptions import CertificationError
 
-    manager = PassManager(default_passes())
+    manager = PassManager(default_passes(width))
     failure: Optional[str] = None
     try:
         manager.run(circuit, certify=True)
@@ -147,15 +152,25 @@ def _collect(smoke: bool, backend: Optional[str], context_kwargs: dict) -> List[
 
 
 def _collect_certify(smoke: bool) -> List[dict]:
+    # Each row fuses at the width compile_plan uses for its backend, so
+    # the proof covers what execute() runs.
+    def width(backend_name: Optional[str]) -> int:
+        return fusion_width(get_backend(backend_name or "statevector").plan_mode)
+
     rows = []
     for workload in default_workloads(smoke=smoke):
         rows.append(
-            _certify_one(workload.name, workload.num_qubits, workload.build())
+            _certify_one(
+                workload.name,
+                workload.num_qubits,
+                workload.build(),
+                width(workload.backend),
+            )
         )
     n = 4 if smoke else 8
     template, _ = parameterized_rotations(n)
-    rows.append(_certify_one("parameterized_rotations", n, template))
-    rows.append(_certify_one("dynamic_feedback", n, _dynamic_workload(n)))
+    rows.append(_certify_one("parameterized_rotations", n, template, width(None)))
+    rows.append(_certify_one("dynamic_feedback", n, _dynamic_workload(n), width(None)))
     return rows
 
 

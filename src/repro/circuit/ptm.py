@@ -211,11 +211,14 @@ def zero_pauli_vector(num_qubits: int) -> np.ndarray:
     """The ``|0...0><0...0|`` state as a ``(4,) * n`` float64 Pauli vector."""
     if num_qubits < 1:
         raise CircuitError(f"need >= 1 qubit, got {num_qubits}")
-    single = np.array([1.0 / _SQRT2, 0.0, 0.0, 1.0 / _SQRT2], dtype=np.float64)
-    out = single
+    # Only the I/Z corners are non-zero, each (1/sqrt2)**n; folding the
+    # product left to right gives the bytes of the n-fold outer product.
+    value = 1.0 / _SQRT2
     for _ in range(num_qubits - 1):
-        out = np.multiply.outer(out, single)
-    return np.ascontiguousarray(out)
+        value *= 1.0 / _SQRT2
+    out = np.zeros((4,) * num_qubits, dtype=np.float64)
+    out[(slice(None, None, 3),) * num_qubits] = value
+    return out
 
 
 __all__: List[str] = [

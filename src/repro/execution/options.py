@@ -74,7 +74,9 @@ class RunOptions:
         ``derive_seed(seed, i)``, so results are reproducible regardless
         of batch size or execution order; ``None`` draws fresh entropy.
     optimize:
-        Transpile through the default pass pipeline before simulation.
+        Transpile through the default pass pipeline before simulation,
+        fusing at :func:`repro.plan.fusion_width` of the backend's plan
+        mode.
     passes:
         Explicit pass pipeline (a ``PassManager`` or sequence of
         ``Pass`` objects); implies optimisation.

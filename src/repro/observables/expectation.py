@@ -1,17 +1,14 @@
 """Expectation values of Pauli observables on simulated states.
 
-Statevectors and density matrices are handled by the same contraction
-strategy the simulators use: each non-identity 2x2 Pauli factor is
-applied to the state's ``(2,) * n`` (or ``(2,) * 2n``) tensor with
-:func:`~repro.sim.apply_gate_tensor`, and the scalar falls out of a
-``vdot`` (pure states, ``<psi|P|psi>``) or a trace (mixed states,
-``tr(rho P)``).  Cost is O(2**n) per factor for statevectors and
-O(4**n) for density matrices — a dense ``2**n x 2**n`` observable matrix
-is never built.
-
-:class:`~repro.sim.PauliVector` states are cheaper still: the state *is*
-its Pauli expansion, so ``<P>`` is a single component lookup scaled by
-``sqrt(2**n)`` — O(1) per Pauli string after the index is assembled.
+No dense ``2**n x 2**n`` observable matrix is ever built.  Pure states
+(:func:`expectation` and :func:`expectation_batched`) evaluate
+``<P> = (-i)**#Y * sum_b conj(psi_b) * (-1)**|b & z| * psi_{b ^ x}`` in
+float64, complex64 states included: the X/Y factors ``x`` are reversed
+axes of the state (a view, no copy) and the Y/Z factors ``z`` signs.
+Density matrices contract each 2x2 factor onto the row axes with
+:func:`~repro.sim.apply_gate_tensor` and take the trace.  A
+:class:`~repro.sim.PauliVector` *is* its Pauli expansion, so ``<P>`` is
+one component lookup scaled by ``sqrt(2**n)``.
 """
 
 from __future__ import annotations
@@ -34,16 +31,16 @@ Observable = Union[Pauli, PauliSum]
 _PAULI_DIGITS = {"X": 1, "Y": 2, "Z": 3}
 
 
-def _check_width(state: State, pauli: Pauli) -> None:
-    if pauli.min_width > state.num_qubits:
+def _check_width(pauli: Pauli, num_qubits: int, holder: str) -> None:
+    if pauli.min_width > num_qubits:
         raise ExecutionError(
-            f"observable acts on qubit {pauli.min_width - 1}, but the state "
-            f"has only {state.num_qubits} qubit(s)"
+            f"observable acts on qubit {pauli.min_width - 1}, but {holder} "
+            f"only {num_qubits} qubit(s)"
         )
 
 
 def _pauli_expectation(state: State, pauli: Pauli) -> float:
-    _check_width(state, pauli)
+    _check_width(pauli, state.num_qubits, "the state has")
     if isinstance(state, PauliVector):
         # tr(rho P) = r[index] * sqrt(2**n): the state already stores its
         # normalised-Pauli components, so the expectation is one lookup.
@@ -53,48 +50,50 @@ def _pauli_expectation(state: State, pauli: Pauli) -> float:
             index[qubit] = _PAULI_DIGITS[factor]
         return float(state.tensor()[tuple(index)] * 2.0 ** (n / 2.0))
     if isinstance(state, Statevector):
-        applied = state.tensor()
-        for qubit, factor in pauli.factors:
-            applied = apply_gate_tensor(applied, PAULI_MATRICES[factor], (qubit,))
-        value = complex(np.vdot(state.tensor(), applied))
-    else:
-        # tr(rho P): contract each factor onto the row axes, then trace.
-        n = state.num_qubits
-        applied = state.tensor()
-        for qubit, factor in pauli.factors:
-            applied = apply_gate_tensor(applied, PAULI_MATRICES[factor], (qubit,))
-        value = complex(np.trace(applied.reshape(1 << n, 1 << n)))
+        return float(_pauli_expectation_batched(state.tensor()[None], pauli)[0])
+    # tr(rho P): contract each factor onto the row axes, then trace.
+    n = state.num_qubits
+    applied = state.tensor()
+    for qubit, factor in pauli.factors:
+        applied = apply_gate_tensor(applied, PAULI_MATRICES[factor], (qubit,))
     # <P> of a Hermitian string is real; the residual imaginary part is
     # floating-point noise and is dropped.
-    return float(value.real)
-
-
-def _check_batch_width(num_qubits: int, pauli: Pauli) -> None:
-    if pauli.min_width > num_qubits:
-        raise ExecutionError(
-            f"observable acts on qubit {pauli.min_width - 1}, but the batch "
-            f"states have only {num_qubits} qubit(s)"
-        )
+    return float(np.trace(applied.reshape(1 << n, 1 << n)).real)
 
 
 def _pauli_expectation_batched(states: np.ndarray, pauli: Pauli) -> np.ndarray:
-    num_qubits = states.ndim - 1
-    _check_batch_width(num_qubits, pauli)
-    applied = states
+    """``<P>`` of every pure state in an ``(N,) + (2,) * n`` batch, copy-free.
+
+    ``einsum`` sums out every qubit but the signed ones, keeping the
+    batch axis; the signed qubits then fold away back to front, each as
+    the difference of its 0 and 1 halves.
+    """
+    n = states.ndim - 1
+    _check_width(pauli, n, "the batch states have")
+    index = [slice(None)] * (n + 1)
+    signed = []  # the Y/Z qubits; factors come sorted by qubit
+    num_y = 0
     for qubit, factor in pauli.factors:
-        # Contract the 2x2 factor onto the (shifted) qubit axis of every
-        # batch element at once; axis 0 stays the batch axis throughout.
-        tensor = np.asarray(PAULI_MATRICES[factor], dtype=states.dtype)
-        applied = np.moveaxis(
-            np.tensordot(tensor, applied, axes=((1,), (qubit + 1,))),
-            0,
-            qubit + 1,
-        )
-    points = states.shape[0]
-    values = np.einsum(
-        "ni,ni->n", states.conj().reshape(points, -1), applied.reshape(points, -1)
-    )
-    return values.real.astype(np.float64)
+        if factor != "Z":  # X and Y flip the qubit: a reversed axis
+            index[qubit + 1] = slice(None, None, -1)
+        if factor != "X":  # Y and Z sign it
+            signed.append(qubit)
+        num_y += factor == "Y"
+    flipped = states[tuple(index)]  # a view
+    axes, out = list(range(n + 1)), [0] + [q + 1 for q in signed]
+
+    def dot(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return np.einsum(left, axes, right, axes, out, dtype=np.float64)
+
+    # Re(conj(a) b) for an even number of Y factors, Im(conj(a) b) for odd.
+    if num_y % 2:
+        marginal = dot(states.real, flipped.imag) - dot(states.imag, flipped.real)
+    else:
+        marginal = dot(states.real, flipped.real) + dot(states.imag, flipped.imag)
+    for _ in signed:
+        marginal = marginal[..., 0] - marginal[..., 1]
+    # (-i)**#Y folded into the Re/Im choice above: 1, 1, -1, -1 by #Y mod 4.
+    return marginal if num_y % 4 < 2 else -marginal
 
 
 def expectation_batched(states: np.ndarray, observable: Observable) -> np.ndarray:
@@ -121,10 +120,6 @@ def expectation_batched(states: np.ndarray, observable: Observable) -> np.ndarra
             f"expected an (N, 2, ..., 2) batch of state tensors, got "
             f"shape {states.shape}"
         )
-    if not np.iscomplexobj(states):
-        # Promote real batches up front: casting Pauli factors *down* to a
-        # real dtype would silently zero Y's purely imaginary entries.
-        states = states.astype(np.complex128)
     if isinstance(observable, Pauli):
         return _pauli_expectation_batched(states, observable)
     if isinstance(observable, PauliSum):

@@ -4,8 +4,8 @@ A :class:`Pauli` is a tensor product of single-qubit Pauli factors
 (``I``, ``X``, ``Y``, ``Z``) on named qubit indices; a :class:`PauliSum`
 is a real-weighted sum of such strings — the standard sparse form of a
 Hermitian observable.  Neither ever materialises its ``2**n x 2**n``
-matrix: expectation values are computed by contracting the 2x2 factors
-onto the state tensor (see :func:`repro.observables.expectation`).
+matrix: expectation values are computed factor by factor on the state
+tensor (see :mod:`repro.observables.expectation`).
 """
 
 from __future__ import annotations

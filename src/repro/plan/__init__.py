@@ -29,6 +29,7 @@ from repro.plan.plan import (
     compile_plan,
     execute_dynamic_density,
     execute_dynamic_pure,
+    fusion_width,
     remove_lower_hook,
 )
 from repro.plan.batch import run_batched_sweep
@@ -50,6 +51,7 @@ __all__ = [
     "compile_plan",
     "execute_dynamic_density",
     "execute_dynamic_pure",
+    "fusion_width",
     "plan_cache_info",
     "remove_lower_hook",
     "run_batched_sweep",

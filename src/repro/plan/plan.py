@@ -97,10 +97,30 @@ PTM = "ptm"
 #: contraction, so runaway widening would undo the fusion win.
 PTM_FUSE_WIDTH = 2
 
+#: Width cap (qubits) of the fusion pass that :func:`compile_plan` runs on
+#: statevector plans.  A pure-state op on a large register is one pass
+#: over the amplitudes whatever its (2**k, 2**k) matrix, so wider groups
+#: mean fewer passes.  At 5 the certifier would prove fused sites on 5
+#: qubits, past the 4-qubit locality its certificates are held to.
+PURE_FUSE_WIDTH = 4
+
 #: Density-mode classical branches below this trace weight are dropped:
 #: they are fp dust from projecting deterministic outcomes, and keeping
 #: them would only add zero tensors to every later contraction.
 _BRANCH_ATOL = 1e-15
+
+
+def fusion_width(mode: str) -> int:
+    """Width cap of the fusion pass :func:`compile_plan` runs for plan ``mode``.
+
+    :data:`PURE_FUSE_WIDTH` for statevector, which rejects gate noise;
+    :data:`PTM_FUSE_WIDTH`, also ``transpile()``'s default, for every
+    mode that takes a :class:`~repro.noise.NoiseModel`.  Its rules match
+    the fused instructions by name and arity, so those modes share one
+    width and fire the same channels on the same circuit.
+    """
+    return PURE_FUSE_WIDTH if mode == STATEVECTOR else PTM_FUSE_WIDTH
+
 
 # Lowering hooks: callables invoked as fn(circuit, plan) after every *full*
 # lowering (never on ExecutionPlan.bind, which only substitutes slot ops).
@@ -1112,7 +1132,9 @@ def compile_plan(
     for it (the lowering itself rides :func:`repro.transpile.transpile`'s
     ``lower=`` hook, and the pass statistics land on ``plan.pass_stats``),
     matches any :class:`~repro.noise.NoiseModel` rules per instruction,
-    and precomputes every op tensor in the backend's dtype.
+    and precomputes every op tensor in the backend's dtype.  The default
+    pipeline fuses at :func:`fusion_width` of the backend's plan mode
+    (explicit ``options.passes`` carry their own widths).
 
     Parameters
     ----------
@@ -1209,6 +1231,7 @@ def _compile_plan(
         plan = transpile(
             circuit,
             passes=options.passes,
+            max_fused_width=fusion_width(mode),
             pass_manager_out=managers,
             lower=_hooked_lower,
             certify=options.certify,

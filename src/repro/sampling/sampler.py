@@ -99,7 +99,7 @@ def readout_probabilities(
     float64 even for complex64 states; drift is normalised away so the
     vector sums to exactly 1 for multinomial/choice.
     """
-    probs = state.probabilities().astype(np.float64)
+    probs = np.asarray(state.probabilities(), dtype=np.float64)
     if noise_model is not None and noise_model.readout_error is not None:
         probs = noise_model.readout_error.apply(probs, state.num_qubits)
     return probs / probs.sum()

@@ -224,7 +224,9 @@ def default_passes(max_fused_width: int = 2) -> Tuple[Pass, ...]:
     Identity drops and inverse-pair cancellation shrink the instruction
     stream before fusion pays the (matrix-product) cost of merging what
     remains into explicit ``unitary`` instructions of width at most
-    ``max_fused_width``.
+    ``max_fused_width``.  The default is also :func:`transpile`'s;
+    :func:`repro.plan.compile_plan` passes
+    :func:`repro.plan.fusion_width` of its plan mode instead.
     """
     from repro.transpile.cleanup import CancelInversePairs, DropIdentities
     from repro.transpile.fusion import FuseAdjacentGates

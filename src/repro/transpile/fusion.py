@@ -181,8 +181,9 @@ class FuseAdjacentGates(Pass):
     circuits come back structurally identical.
 
     ``max_width`` trades fused-matrix cost (``4**max_width`` entries)
-    against amplitude-array sweeps saved; 2 is a good default for the
-    statevector loop.
+    against amplitude-array sweeps saved.
+    :func:`repro.plan.compile_plan` picks it per plan mode with
+    :func:`repro.plan.fusion_width`.
     """
 
     def __init__(self, max_width: int = 2) -> None:

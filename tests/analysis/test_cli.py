@@ -142,6 +142,16 @@ class TestCertifyMode:
             # below the register width on every workload.
             assert row["max_support"] <= 4, row
 
+    def test_certify_fuses_at_the_width_execute_runs(self, capsys):
+        # Statevector rows fuse at PURE_FUSE_WIDTH, as compile_plan
+        # does; density-pinned rows keep transpile()'s default of 2.
+        assert cli.main(["--certify", "--smoke", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["workloads"]
+        support = {(row["name"], row["num_qubits"]): row["max_support"] for row in rows}
+        assert support[("layered_rotations", 6)] == 4
+        assert support[("dynamic_feedback", 4)] == 4
+        assert support[("layered_damped", 4)] == 2
+
     def test_certify_failure_exits_nonzero(self, monkeypatch, capsys):
         def fake_certify(smoke):
             return [

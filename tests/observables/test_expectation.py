@@ -9,6 +9,19 @@ from repro.sim import DensityMatrix, Statevector
 from repro.utils.exceptions import ExecutionError
 
 
+def _random_batch(rng, n, size):
+    """``size`` random normalised ``(2,) * n`` state tensors, stacked."""
+    batch = rng.standard_normal((size, 1 << n)) + 1j * rng.standard_normal((size, 1 << n))
+    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    return batch.reshape((size,) + (2,) * n)
+
+
+def _random_labels(rng, n, count):
+    """Random IXYZ strings on ``n`` qubits, plus the all-I and all-Y ones."""
+    drawn = ["".join(rng.choice(list("IXYZ"), size=n)) for _ in range(count)]
+    return drawn + ["I" * n, "Y" * n]
+
+
 class TestStatevectorExpectation:
     def test_z_on_basis_states(self):
         assert expectation(Statevector.from_bitstring("0"), Pauli("Z")) == 1.0
@@ -82,8 +95,10 @@ class TestDensityMatrixExpectation:
 class TestValidation:
     def test_observable_wider_than_state(self):
         state = Statevector.zero_state(1)
-        with pytest.raises(ExecutionError, match="qubit"):
+        with pytest.raises(ExecutionError, match="the state has only 1 qubit"):
             expectation(state, Pauli("ZZ"))
+        with pytest.raises(ExecutionError, match="the state has only 2 qubit"):
+            expectation(Statevector.zero_state(2), Pauli("X", (2,)))
 
     def test_bad_state_type(self):
         with pytest.raises(ExecutionError, match="Statevector"):
@@ -116,6 +131,17 @@ class TestBatchedExpectation:
                     expectation(run(circuit), observable), abs=1e-12
                 )
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_matches_per_element_on_random_states(self, n):
+        from repro.observables import expectation_batched
+
+        rng = np.random.default_rng(17 + n)
+        batch = _random_batch(rng, n, 5)
+        for label in _random_labels(rng, n, 6):
+            values = expectation_batched(batch, Pauli(label))
+            per_element = [expectation(Statevector(psi), Pauli(label)) for psi in batch]
+            np.testing.assert_allclose(values, per_element, rtol=0, atol=1e-12)
+
     def test_matches_per_element_pauli_sum(self):
         from repro.observables import expectation_batched
 
@@ -126,6 +152,13 @@ class TestBatchedExpectation:
             assert values[i] == pytest.approx(
                 expectation(run(circuit), observable), abs=1e-12
             )
+        rng = np.random.default_rng(23)
+        batch = _random_batch(rng, 4, 5)
+        labels = _random_labels(rng, 4, 4)
+        observable = PauliSum([(float(rng.uniform(-2, 2)), Pauli(label)) for label in labels])
+        values = expectation_batched(batch, observable)
+        per_element = [expectation(Statevector(psi), observable) for psi in batch]
+        np.testing.assert_allclose(values, per_element, rtol=0, atol=1e-12)
 
     def test_rejects_non_batch_shapes(self):
         from repro.observables import expectation_batched
@@ -138,7 +171,7 @@ class TestBatchedExpectation:
 
         batch = np.zeros((2, 2), dtype=complex)
         batch[:, 0] = 1.0
-        with pytest.raises(ExecutionError, match="qubit"):
+        with pytest.raises(ExecutionError, match="the batch states have only 1 qubit"):
             expectation_batched(batch.reshape(2, 2), Pauli("ZZ"))
 
     def test_rejects_bad_observable(self):

@@ -25,6 +25,7 @@ from repro.circuit.ptm import (
     kraus_to_ptm,
     ptm_is_trace_preserving,
     ptm_is_unital,
+    zero_pauli_vector,
 )
 from repro.execution import RunOptions
 from repro.noise import amplitude_damping, depolarizing, phase_damping
@@ -86,6 +87,17 @@ class TestPauliVectorType:
         assert state.data == pytest.approx(
             np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)
         )
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_zero_vector_bytes_equal_the_outer_product(self, n):
+        single = np.array([1.0, 0.0, 0.0, 1.0]) / float(np.sqrt(2.0))
+        reference = single
+        for _ in range(n - 1):
+            reference = np.multiply.outer(reference, single)
+        built = zero_pauli_vector(n)
+        assert built.shape == (4,) * n and built.dtype == np.float64
+        assert built.flags.c_contiguous
+        assert built.tobytes() == np.ascontiguousarray(reference).tobytes()
 
     def test_from_statevector_roundtrip(self):
         psi = Statevector(np.array([1.0, 1.0j]) / np.sqrt(2))

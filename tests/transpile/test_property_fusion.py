@@ -18,10 +18,10 @@ from repro import Circuit, Parameter, RunOptions, get_gate
 from repro.analysis import certify_rewrite
 from repro.circuit import Instruction
 from repro.gates import unitary_gate
-from repro.noise import amplitude_damping, depolarizing
-from repro.plan import compile_plan
-from repro.sim import run
-from repro.transpile import FuseAdjacentGates
+from repro.noise import NoiseModel, amplitude_damping, depolarizing
+from repro.plan import DensityKrausOp, TrajectoryKrausOp, compile_plan, fusion_width
+from repro.sim import get_backend, run
+from repro.transpile import FuseAdjacentGates, transpile
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -86,7 +86,7 @@ def _evolve(circuit):
 
 
 @hypothesis.settings(max_examples=60, **_SETTINGS)
-@hypothesis.given(_circuits(), st.sampled_from((1, 2, 3)))
+@hypothesis.given(_circuits(), st.sampled_from((1, 2, 3, 4)))
 def test_fusion_is_exact_bounded_and_certified(circuit, max_width):
     fused = FuseAdjacentGates(max_width=max_width).run(circuit)
 
@@ -184,14 +184,50 @@ def _brickwork(num_qubits, layers, seed):
 def test_brickwork_fuses_to_one_op_per_pair_per_layer():
     circuit = _brickwork(20, 3, seed=11)
     assert len(circuit) == 209
+    fused = transpile(circuit)
+    assert len(fused) == 30
+    assert all(len(instruction.qubits) <= 2 for instruction in fused)
+    # compile_plan fuses statevector plans at PURE_FUSE_WIDTH.
     plan = compile_plan(circuit, "statevector", RunOptions(optimize=True), use_cache=False)
-    assert len(plan.ops) == 30
-    assert all(len(op.targets) <= 2 for op in plan.ops)
+    assert len(plan.ops) == 16
+    assert all(len(op.targets) <= 4 for op in plan.ops)
     small = _brickwork(6, 3, seed=12)
     fused = FuseAdjacentGates().run(small)
     assert np.max(np.abs(run(fused).data - run(small).data)) < 1e-12
     certificate = certify_rewrite(small, fused)
     assert certificate.ok and certificate.max_support == 2
+
+
+@pytest.mark.parametrize("backend", ["statevector", "trajectory", "density_matrix", "ptm"])
+def test_compile_plan_fuses_at_its_modes_width(backend):
+    circuit = _brickwork(6, 3, seed=13)
+    mode = get_backend(backend).plan_mode
+    assert fusion_width(mode) == (4 if mode == "statevector" else 2)
+    plan = compile_plan(circuit, backend, RunOptions(optimize=True), use_cache=False)
+    widths = [len(getattr(op, "targets", None) or op.row_targets) for op in plan.ops]
+    assert max(widths) == fusion_width(mode)
+    exact = run(circuit, backend=backend).probabilities()
+    fused = run(circuit, backend=backend, options=RunOptions(optimize=True)).probabilities()
+    assert np.max(np.abs(fused - exact)) < 1e-12
+
+
+def test_noisy_modes_fire_the_same_channels_under_optimize():
+    # NoiseModel rules match the fused instructions by arity, so the
+    # modes that take one must fuse alike to put the same noise on the
+    # same circuit.
+    circuit = _brickwork(6, 3, seed=14)
+    model = NoiseModel().add_channel(depolarizing(0.01)).add_channel(depolarizing(0.02, 2))
+    fired = {}
+    for backend in ("trajectory", "density_matrix"):
+        options = RunOptions(optimize=True, noise_model=model)
+        plan = compile_plan(circuit, backend, options, use_cache=False)
+        fired[backend] = [
+            (op.name, getattr(op, "targets", None) or op.row_targets)
+            for op in plan.ops
+            if isinstance(op, (TrajectoryKrausOp, DensityKrausOp))
+        ]
+    assert fired["trajectory"] == fired["density_matrix"]
+    assert sum(len(targets) == 2 for _, targets in fired["trajectory"]) == 8
 
 
 def _as_unitaries(num_qubits, steps):
