@@ -136,7 +136,7 @@ from repro.utils import (
     spawn_seeds,
 )
 
-__version__ = "0.10.0"
+__version__ = "0.11.0"
 
 __all__ = [
     "__version__",

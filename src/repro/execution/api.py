@@ -30,7 +30,6 @@ from typing import (
     Any,
     Dict,
     Iterable,
-    Iterator,
     List,
     Mapping,
     Optional,
@@ -58,7 +57,7 @@ from repro.utils.rng import derive_seed, ensure_rng
 
 if TYPE_CHECKING:
     from repro.analysis import AnalysisReport
-    from repro.plan.plan import ExecutionPlan, TrajectoryKrausOp
+    from repro.plan.plan import ExecutionPlan
 
 Sweep = Sequence[Mapping[Union[Parameter, str], float]]
 
@@ -207,8 +206,8 @@ def element_payload(
       qubit measurement hardware and is deliberately not applied to
       clbit registers; a circuit without clbits samples its qubits,
       readout error included.
-    * pure modes with shots run per-shot trajectories
-      (:func:`_trajectory_element`).  Without shots the statevector
+    * pure modes with shots run ``shots`` trajectories, walked as branch
+      trees (:func:`_trajectory_element`).  Without shots the statevector
       backend runs one stochastic collapse, seeded as trajectory 0 of
       this element; the trajectory backend demands shots, because its
       whole output is the trajectory average.
@@ -260,8 +259,8 @@ def element_payload(
     }
 
 
-#: Trajectories whose branch patterns are drawn and grouped together.
-#: Each holds its generator (~1.2 KiB) until its outcome is drawn, so the
+#: Trajectories walked together as one branch tree.  Each holds its
+#: generator (~1.2 KiB) and its draws until its outcome is drawn, so the
 #: block bounds that memory whatever the shot count.
 _TRAJECTORY_BLOCK = 1024
 
@@ -279,144 +278,60 @@ def trajectory_shard(
     The unit of trajectory work, mirroring :func:`sample_shard` for
     shots: trajectory ``t`` (absolute index, whatever the shard split)
     seeds its own stream from ``derive_seed(seed, element_index, t)``,
-    evolves one stochastic pure state, records one outcome — the clbit
+    takes its branch draws from it, records one outcome — the clbit
     string when the circuit measures into clbits, otherwise one terminal
     readout draw from the same stream — and evaluates each requested
-    observable exactly on that trajectory's state.  Because every
+    observable exactly on its final state.  Because every
     per-trajectory quantity depends only on ``(seed, element_index, t)``,
     any shard split (serial, or ``max_workers`` pool shards) merges to
     bitwise-identical results.
 
-    When every random draw of the plan is a mixed-unitary Kraus choice
-    (depolarizing or Pauli-flip noise, no measure/reset/if_bit, no
-    clbits), trajectories sharing a branch pattern share one evolution:
-    see :func:`_grouped_trajectories`.  Every per-trajectory quantity is
-    still bitwise what the trajectory's own evolution gives.
+    Each block of :data:`_TRAJECTORY_BLOCK` trajectories is one
+    :func:`~repro.plan.walk_trajectories` tree: trajectories that take
+    the same branches share one evolution, and each leaf's state is
+    finalised, sanitized, read out and measured once.  Returns every
+    trajectory's outcome (``memory``) and observable row (``values``), in
+    trajectory order.
     """
-    fixed_ops = _fixed_weight_ops(plan)
-    if fixed_ops is None:
-        trajectories = _per_shot_trajectories(
-            plan, element_index, start, count, options, backend
-        )
-    else:
-        trajectories = _grouped_trajectories(
-            plan, fixed_ops, element_index, start, count, options, backend
-        )
-    tally: Dict[str, int] = {}
-    memory: Optional[List[str]] = [] if options.memory else None
+    from repro.plan import walk_trajectories
+
+    sanitize = resolve_sanitize_mode(options.sanitize)
+    if sanitize != "off":
+        # Lazy: the resolved "off" default never imports the analysis layer.
+        from repro.analysis.sanitize import Sanitizer
+    initial = backend._initial_tensor(plan.num_qubits, None).astype(
+        plan.dtype, copy=False
+    )
+    outcomes: List[str] = []
     values: List[List[float]] = []
-    for outcome, row in trajectories:
-        tally[outcome] = tally.get(outcome, 0) + 1
-        if memory is not None:
-            memory.append(outcome)
-        values.append(row)
-    return {
-        "tally": tally,
-        "memory": memory,
-        "num_bits": plan.num_clbits or plan.num_qubits,
-        "values": values,
-    }
-
-
-def _fixed_weight_ops(plan: "ExecutionPlan") -> Optional[List["TrajectoryKrausOp"]]:
-    """The plan's dynamic ops if each is a mixed-unitary Kraus draw, else ``None``.
-
-    Only then is a trajectory's evolution fixed by its branch pattern: a
-    measurement or a damping channel weighs its branches by the state.
-    """
-    from repro.plan import TrajectoryKrausOp
-
-    if plan.num_clbits:
-        return None
-    dynamic = [op for op in plan.ops if op.is_dynamic]
-    if all(
-        isinstance(op, TrajectoryKrausOp) and op.weights is not None
-        for op in dynamic
-    ):
-        return dynamic
-    return None
-
-
-def _per_shot_trajectories(
-    plan: "ExecutionPlan",
-    element_index: int,
-    start: int,
-    count: int,
-    options: RunOptions,
-    backend: Any,
-) -> Iterator[Tuple[str, List[float]]]:
-    """``(outcome, observable row)`` per trajectory, each evolved on its own."""
-    for t in range(start, start + count):
-        rng = ensure_rng(derive_seed(options.seed, element_index, t))
-        classical: Dict[str, Any] = {}
-        state = backend.execute_plan(
-            plan, rng=rng, classical=classical, sanitize=options.sanitize
-        )
-        if plan.num_clbits:
-            outcome = classical["bits"]
-        else:
-            # No clbits (e.g. reset-only or pure Kraus-noise circuits):
-            # draw one terminal readout outcome from the trajectory's own
-            # stream, readout error included.
-            probs = readout_probabilities(state, options.noise_model)
-            outcome = index_to_bitstring(
-                int(rng.choice(probs.size, p=probs)), plan.num_qubits
-            )
-        yield outcome, [
-            expectation(state, observable) for observable in options.observables
-        ]
-
-
-def _grouped_trajectories(
-    plan: "ExecutionPlan",
-    fixed_ops: Sequence["TrajectoryKrausOp"],
-    element_index: int,
-    start: int,
-    count: int,
-    options: RunOptions,
-    backend: Any,
-) -> Iterator[Tuple[str, List[float]]]:
-    """``(outcome, observable row)`` per trajectory, one evolution per pattern.
-
-    Each trajectory's generator first draws its branch pattern — one
-    ``random()`` per Kraus op, exactly the draws ``execute_plan`` would
-    make — and trajectories are grouped by pattern.  Each distinct
-    pattern is evolved once, by the unchanged ``execute_plan`` on its
-    first trajectory's generator rewound to before those draws, and its
-    readout probabilities and observables are computed once.  Every
-    trajectory then draws its outcome from its own generator, as the
-    per-shot loop does, so each per-trajectory quantity is bitwise the
-    same.  Blocks of :data:`_TRAJECTORY_BLOCK` trajectories bound the
-    generators held; one evolved state is alive at a time.
-    """
     stop = start + count
     for block_start in range(start, stop, _TRAJECTORY_BLOCK):
-        block = range(block_start, min(block_start + _TRAJECTORY_BLOCK, stop))
-        groups: Dict[Tuple[int, ...], List[Tuple[int, np.random.Generator]]] = {}
-        for position, t in enumerate(block):
-            rng = ensure_rng(derive_seed(options.seed, element_index, t))
-            rewind = rng.bit_generator.state
-            draws = rng.random(len(fixed_ops)).tolist()
-            pattern = tuple(op.choose(draw) for op, draw in zip(fixed_ops, draws))
-            group = groups.get(pattern)
-            if group is None:
-                rng.bit_generator.state = rewind
-                group = groups[pattern] = []
-            group.append((position, rng))
-        outcomes: List[str] = [""] * len(block)
-        rows: List[List[float]] = [[]] * len(block)
-        for group in groups.values():
-            state = backend.execute_plan(
-                plan, rng=group[0][1], classical={}, sanitize=options.sanitize
-            )
-            probs = readout_probabilities(state, options.noise_model)
+        rngs = [
+            ensure_rng(derive_seed(options.seed, element_index, t))
+            for t in range(block_start, min(block_start + _TRAJECTORY_BLOCK, stop))
+        ]
+        drawn: List[str] = [""] * len(rngs)
+        rows: List[List[float]] = [[]] * len(rngs)
+        for tensor, bits, members in walk_trajectories(plan, initial, rngs):
+            if sanitize != "off":
+                Sanitizer(plan, sanitize).finish(tensor)
+            state = backend._finalize(tensor, plan.num_qubits)
             row = [expectation(state, observable) for observable in options.observables]
-            for position, rng in group:
-                outcomes[position] = index_to_bitstring(
-                    int(rng.choice(probs.size, p=probs)), plan.num_qubits
-                )
-                rows[position] = row
-        yield from zip(outcomes, rows)
+            clbits = "".join(map(str, bits))
+            # Without clbits (e.g. reset-only or pure Kraus-noise circuits)
+            # each trajectory draws one terminal readout outcome from its
+            # own stream, readout error included.
+            probs = None if clbits else readout_probabilities(state, options.noise_model)
+            for member in members:
+                rows[member] = row
+                drawn[member] = clbits
+                if probs is not None:
+                    drawn[member] = index_to_bitstring(
+                        int(rngs[member].choice(probs.size, p=probs)), plan.num_qubits
+                    )
+        outcomes += drawn
+        values += rows
+    return {"memory": outcomes, "values": values}
 
 
 def _trajectory_element(
@@ -453,16 +368,11 @@ def _trajectory_element(
         parts = run_tasks(_trajectory_task, tasks, workers)
     else:
         parts = [trajectory_shard(plan, index, 0, shots, options, backend)]
+    outcomes = [outcome for part in parts for outcome in part["memory"]]
     tally: Dict[str, int] = {}
-    for part in parts:
-        for outcome, count in part["tally"].items():
-            tally[outcome] = tally.get(outcome, 0) + count
-    counts = Counts(tally, num_qubits=parts[0]["num_bits"])
-    memory: Optional[List[str]] = None
-    if options.memory:
-        memory = []
-        for part in parts:
-            memory.extend(part["memory"])
+    for outcome in outcomes:
+        tally[outcome] = tally.get(outcome, 0) + 1
+    counts = Counts(tally, num_qubits=plan.num_clbits or plan.num_qubits)
     # Concatenate per-trajectory values in absolute trajectory order and
     # reduce over the full (T, n_obs) array: the mean/std are then
     # computed identically for every shard split, keeping expectation
@@ -479,7 +389,7 @@ def _trajectory_element(
         # memory and expectation means carry the result.
         "state": None,
         "counts": counts,
-        "memory": memory,
+        "memory": outcomes if options.memory else None,
         "values": tuple(float(v) for v in means),
         "expectation_std": tuple(float(s) for s in stds),
         "run_time_s": time.perf_counter() - t0,

@@ -94,6 +94,16 @@ def get_gate(name: str, *params: "float | Parameter") -> Gate:
     resulting gate is then *parametric* — it carries no matrix until
     :meth:`Circuit.bind` substitutes values and re-resolves it here.
     """
+    return _gate(name, params, store=True)
+
+
+def transient_gate(name: str, *params: "float | Parameter") -> Gate:
+    """:func:`get_gate` for plan binding: reuses a cached gate, but never
+    stores one, so a sweep's fresh angles evict nothing."""
+    return _gate(name, params, store=False)
+
+
+def _gate(name: str, params: "tuple[float | Parameter, ...]", store: bool) -> Gate:
     key = name.lower()
     try:
         num_qubits, num_params, builder, _inverse = _REGISTRY[key]
@@ -118,4 +128,4 @@ def get_gate(name: str, *params: "float | Parameter") -> Gate:
         built = Gate(key, num_qubits, None, bound)
     else:
         built = Gate(key, num_qubits, builder(*bound), bound)
-    return _GATE_CACHE.put(cache_key, built)
+    return _GATE_CACHE.put(cache_key, built) if store else built

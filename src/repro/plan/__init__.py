@@ -8,7 +8,9 @@ noise-model rules matched per instruction, parametric slots that
 execute plans through one shared tight loop
 (:meth:`~repro.sim.BaseBackend.execute_plan`);
 :func:`run_batched_sweep` evolves all N bindings of a statevector sweep
-as a single batch-axis tensor, one contraction per op.
+as a single batch-axis tensor, one contraction per op, and
+:func:`walk_trajectories` evolves a block of pure dynamic trajectories as
+one branch tree.
 
 Plans are cached process-wide (:mod:`repro.plan.cache`) so repeated
 execution of the same circuit under the same options skips compilation.
@@ -28,9 +30,9 @@ from repro.plan.plan import (
     add_lower_hook,
     compile_plan,
     execute_dynamic_density,
-    execute_dynamic_pure,
     fusion_width,
     remove_lower_hook,
+    walk_trajectories,
 )
 from repro.plan.batch import run_batched_sweep
 from repro.plan.cache import clear_plan_cache, plan_cache_info
@@ -50,9 +52,9 @@ __all__ = [
     "clear_plan_cache",
     "compile_plan",
     "execute_dynamic_density",
-    "execute_dynamic_pure",
     "fusion_width",
     "plan_cache_info",
     "remove_lower_hook",
     "run_batched_sweep",
+    "walk_trajectories",
 ]

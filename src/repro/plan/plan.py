@@ -43,10 +43,10 @@ Four lowering modes exist, selected by the target backend's ``plan_mode``:
 Dynamic instructions (measure/reset/if_bit) lower to
 :class:`MeasureOp`/:class:`ResetOp`/:class:`ConditionalOp` in every mode.
 Plans containing them (or trajectory Kraus ops) set
-:attr:`ExecutionPlan.has_dynamic_ops`; the backends' shared loop then
-threads an RNG and a classical-bit register through
-:func:`execute_dynamic_pure` / :func:`execute_dynamic_density` instead of
-the static fast path.
+:attr:`ExecutionPlan.has_dynamic_ops` and leave the static fast path:
+density plans track every classical branch exactly
+(:func:`execute_dynamic_density`), and pure plans walk their seeded
+trajectories as one branch tree (:func:`walk_trajectories`).
 """
 
 from __future__ import annotations
@@ -58,6 +58,7 @@ from typing import (
     Any,
     Callable,
     Dict,
+    Iterator,
     List,
     Mapping,
     Optional,
@@ -84,6 +85,10 @@ if TYPE_CHECKING:
 # Dynamic density evolution threads the state as classical-outcome
 # branches: (clbit tuple, unnormalised rho).
 Branches = List[Tuple[Tuple[int, ...], np.ndarray]]
+
+# A random pure-state op's branches on one state: ``choose(draw)`` is the
+# branch a uniform draw in [0, 1) picks, ``build(branch)`` its state.
+BranchTable = Tuple[Callable[[float], int], Callable[[int], np.ndarray]]
 
 STATEVECTOR = "statevector"
 DENSITY = "density"
@@ -295,8 +300,9 @@ _GATE_PTM_CACHE: "LRUCache[np.ndarray]" = LRUCache(4096)
 
 
 def _gate_ptm(
-    name: str, params: Sequence[float], matrix: np.ndarray, num_qubits: int
+    name: str, params: Sequence[float], matrix: np.ndarray, num_qubits: int, store: bool = True
 ) -> np.ndarray:
+    # Plan binding passes store=False: a fresh sweep angle is used once.
     key = (
         name,
         tuple(float(p) for p in params),
@@ -307,7 +313,7 @@ def _gate_ptm(
         return cached
     built = kraus_to_ptm((matrix,), num_qubits)
     built.setflags(write=False)
-    return _GATE_PTM_CACHE.put(key, built)
+    return _GATE_PTM_CACHE.put(key, built) if store else built
 
 
 class PTMOp:
@@ -352,8 +358,9 @@ class ParametricSlotOp:
     Carries everything needed to become a concrete op the instant values
     arrive: the registry gate name, the parameter template (bound reals
     mixed with :class:`~repro.circuit.Parameter` symbols), and the target
-    qubits.  :meth:`resolve_matrix` goes through the registry's gate
-    cache, so repeated bindings of the same value share one matrix.
+    qubits.  :meth:`resolve_matrix` reuses a gate already in the
+    registry's cache but never stores one: a sweep's fresh angles would
+    fill the cache with gates used once.
     """
 
     __slots__ = ("gate_name", "params", "targets", "parameters", "index")
@@ -375,12 +382,12 @@ class ParametricSlotOp:
         self.index = index
 
     def resolve_matrix(self, values: Mapping[str, float]) -> np.ndarray:
-        from repro.gates import get_gate
+        from repro.gates.registry import transient_gate
 
         bound = tuple(
             values[p.name] if isinstance(p, Parameter) else p for p in self.params
         )
-        return get_gate(self.gate_name, *bound).matrix
+        return transient_gate(self.gate_name, *bound).matrix
 
     def apply(self, state: np.ndarray) -> np.ndarray:
         raise SimulationError(
@@ -410,6 +417,31 @@ def _density_trace(rho: np.ndarray, num_qubits: int) -> float:
     return float(np.trace(rho.reshape(dim, dim)).real)
 
 
+def _z_branch_table(state: np.ndarray, qubit: int, reset: bool) -> BranchTable:
+    """Branches of a Z measurement of ``qubit`` (or a reset), p0/p1 read once.
+
+    A draw ``u`` picks 0 when ``u * (p0 + p1) < p0``: the unnormalised total
+    absorbs norm drift, and a zero-probability outcome is never picked.  The
+    outcome's slice is renormalised into its own index, or into ``|0>`` for
+    a reset (collapse and conditional flip in one assignment).
+    """
+    moved = np.moveaxis(state, qubit, 0)
+    p0 = float(np.sum(np.abs(moved[0]) ** 2))
+    p1 = float(np.sum(np.abs(moved[1]) ** 2))
+    total = p0 + p1
+
+    def choose(draw: float) -> int:
+        return 0 if draw * total < p0 else 1
+
+    def build(outcome: int) -> np.ndarray:
+        out = np.zeros_like(state)
+        kept = moved[outcome] / np.sqrt(p1 if outcome else p0)
+        np.moveaxis(out, qubit, 0)[0 if reset else outcome] = kept
+        return out
+
+    return choose, build
+
+
 class MeasureOp:
     """Projective Z measurement of one qubit, outcome into a clbit.
 
@@ -436,21 +468,9 @@ class MeasureOp:
             "(execute_plan threads the RNG and classical bits)"
         )
 
-    def apply_pure(
-        self, state: np.ndarray, rng: np.random.Generator, bits: List[int]
-    ) -> np.ndarray:
-        moved = np.moveaxis(state, self.qubit, 0)
-        p0 = float(np.sum(np.abs(moved[0]) ** 2))
-        p1 = float(np.sum(np.abs(moved[1]) ** 2))
-        # Drawing against the *unnormalised* total also absorbs norm
-        # drift; a zero-probability branch can never be selected (see the
-        # boundary: random() < 1 strictly, and random() >= 0 always).
-        outcome = 0 if rng.random() * (p0 + p1) < p0 else 1
-        prob = p0 if outcome == 0 else p1
-        out = np.zeros_like(state)
-        np.moveaxis(out, self.qubit, 0)[outcome] = moved[outcome] / np.sqrt(prob)
-        bits[self.clbit] = outcome
-        return out
+    def branch_table(self, state: np.ndarray) -> BranchTable:
+        """``(choose, build)`` on ``state``: see :func:`_z_branch_table`."""
+        return _z_branch_table(state, self.qubit, reset=False)
 
     def apply_density(self, branches: Branches) -> Branches:
         merged: Dict[tuple, np.ndarray] = {}
@@ -495,19 +515,9 @@ class ResetOp:
             "(execute_plan threads the RNG and classical bits)"
         )
 
-    def apply_pure(
-        self, state: np.ndarray, rng: np.random.Generator, bits: List[int]
-    ) -> np.ndarray:
-        moved = np.moveaxis(state, self.qubit, 0)
-        p0 = float(np.sum(np.abs(moved[0]) ** 2))
-        p1 = float(np.sum(np.abs(moved[1]) ** 2))
-        outcome = 0 if rng.random() * (p0 + p1) < p0 else 1
-        prob = p0 if outcome == 0 else p1
-        out = np.zeros_like(state)
-        # The kept branch lands on the |0> slice whichever outcome was
-        # drawn — collapse and conditional flip in one assignment.
-        np.moveaxis(out, self.qubit, 0)[0] = moved[outcome] / np.sqrt(prob)
-        return out
+    def branch_table(self, state: np.ndarray) -> BranchTable:
+        """``(choose, build)`` on ``state``: see :func:`_z_branch_table`."""
+        return _z_branch_table(state, self.qubit, reset=True)
 
     def apply_density(self, branches: Branches) -> Branches:
         out = []
@@ -550,13 +560,6 @@ class ConditionalOp:
             "(execute_plan threads the RNG and classical bits)"
         )
 
-    def apply_pure(
-        self, state: np.ndarray, rng: np.random.Generator, bits: List[int]
-    ) -> np.ndarray:
-        if bits[self.clbit] == self.value:
-            return self.inner.apply(state)
-        return state
-
     def apply_density(self, branches: Branches) -> Branches:
         return [
             (bits, self.inner.apply(rho) if bits[self.clbit] == self.value else rho)
@@ -586,19 +589,17 @@ def _choose_branch(draw: float, weights: Sequence[float]) -> int:
 class TrajectoryKrausOp:
     """Monte-Carlo unraveling of a Kraus channel on a pure state.
 
-    Each application picks ONE Kraus branch with one ``rng.random()``
-    draw — the density-matrix Kraus *sum* becomes a Kraus *choice* per
-    trajectory, which is the trajectory backend's whole trick.
+    Each application picks ONE Kraus branch with one uniform draw — the
+    density-matrix Kraus *sum* becomes a Kraus *choice* per trajectory,
+    which is the trajectory backend's whole trick.  :meth:`branch_table`
+    holds the rule:
 
     * A mixed-unitary channel (see :attr:`repro.circuit.Channel.mixture`:
       depolarizing and the Pauli flips) has state-independent branch
       ``weights`` ``w_i``, and ``tensors`` holds its unitaries ``U_i``
       (``None`` for an identity branch).  The draw picks a branch
-      against the weights (:meth:`choose`) and only the chosen ``U_i`` is
-      contracted; an identity branch applies nothing.  A trajectory's
-      evolution is then a function of its branch *pattern* alone, so
-      trajectories sharing a pattern can share one evolution (see
-      :func:`repro.execution.api.trajectory_shard`).
+      against the weights and only the chosen ``U_i`` is contracted; an
+      identity branch applies nothing.
     * Any other channel (amplitude or phase damping; ``weights`` is
       ``None``) keeps its Kraus operators in ``tensors``, applies every
       one, weighs the branches by ``||K_i psi||^2``, picks one and
@@ -647,26 +648,30 @@ class TrajectoryKrausOp:
             "through the trajectory backend (execute_plan threads the RNG)"
         )
 
-    def choose(self, draw: float) -> int:
-        """The branch a uniform ``draw`` in ``[0, 1)`` picks (mixed-unitary ops)."""
-        return _choose_branch(draw, self.weights)
-
-    def apply_pure(
-        self, state: np.ndarray, rng: np.random.Generator, bits: List[int]
-    ) -> np.ndarray:
+    def branch_table(self, state: np.ndarray) -> BranchTable:
+        """``(choose, build)`` on ``state``; see :data:`BranchTable`."""
         if self.weights is not None:
-            unitary = self.tensors[self.choose(rng.random())]
-            if unitary is None:
-                return state
-            return _contract(state, unitary, self.targets, self.in_axes, self.out_axes)
-        candidates = []
-        weights = []
-        for tensor in self.tensors:
-            candidate = _contract(state, tensor, self.targets, self.in_axes, self.out_axes)
-            candidates.append(candidate)
-            weights.append(float(np.vdot(candidate, candidate).real))
-        chosen = _choose_branch(rng.random(), weights)
-        return candidates[chosen] / np.sqrt(weights[chosen])
+            weights: Sequence[float] = self.weights
+
+            def build(branch: int) -> np.ndarray:
+                unitary = self.tensors[branch]
+                if unitary is None:
+                    return state
+                return _contract(
+                    state, unitary, self.targets, self.in_axes, self.out_axes
+                )
+
+        else:
+            candidates = [
+                _contract(state, tensor, self.targets, self.in_axes, self.out_axes)
+                for tensor in self.tensors
+            ]
+            weights = [float(np.vdot(c, c).real) for c in candidates]
+
+            def build(branch: int) -> np.ndarray:
+                return candidates[branch] / np.sqrt(weights[branch])
+
+        return lambda draw: _choose_branch(draw, weights), build
 
     def __repr__(self) -> str:
         return (
@@ -675,23 +680,86 @@ class TrajectoryKrausOp:
         )
 
 
-def execute_dynamic_pure(
-    plan: "ExecutionPlan", tensor: np.ndarray, rng: np.random.Generator
-) -> Tuple[np.ndarray, Tuple[int, ...]]:
-    """Run a dynamic pure-state plan: one stochastic trajectory.
+#: Bytes of branch states a trajectory walk may hold for siblings it has
+#: yet to walk.  Past the cap a sibling waits stateless and is rebuilt
+#: bitwise from the initial state along one member's path, so op
+#: applications stay at most leaves x ops.
+_PENDING_STATE_BYTES = 64 << 20
 
-    Returns ``(final_tensor, bits)`` where ``bits`` is the classical
-    register (a tuple of 0/1 ints) after all measurements.  Identical for
-    the statevector and trajectory modes — the op set is the only
-    difference.
+# A leaf of a trajectory walk: (state, clbits, members).
+Leaf = Tuple[np.ndarray, Tuple[int, ...], List[int]]
+
+
+def walk_trajectories(
+    plan: "ExecutionPlan", initial: np.ndarray, rngs: Sequence[Any]
+) -> Iterator[Leaf]:
+    """Evolve one trajectory of a pure dynamic plan per generator, as one tree.
+
+    Each trajectory draws its ``k`` uniforms with one ``rngs[m].random(k)``,
+    one per measure, reset and Kraus op (a :class:`ConditionalOp` draws
+    none): the draws, in order, of evolving it alone.  Groups of
+    trajectories that took the same branches so far share one state and
+    clbit tuple.  Static ops and conditionals apply once per group; a random
+    op builds its :data:`BranchTable` once per group and splits the members
+    by their own draws, so every trajectory ends bitwise where its own
+    evolution would.  Yields ``(state, clbits, members)`` per leaf,
+    ``members`` indexing ``rngs``, each generator just past its draws.
     """
-    bits: List[int] = [0] * plan.num_clbits
-    for op in plan.ops:
-        if op.is_dynamic:
-            tensor = op.apply_pure(tensor, rng, bits)
+    columns: Dict[int, int] = {}  # op index -> its draw's index
+    for index, op in enumerate(plan.ops):
+        if hasattr(op, "branch_table"):
+            columns[index] = len(columns)
+    draws = [rng.random(len(columns)).tolist() for rng in rngs]
+    root = (0, initial, (0,) * plan.num_clbits, list(range(len(rngs))))
+    return _walk(plan.ops, columns, draws, root, len(plan.ops))
+
+
+def _walk(
+    ops: Sequence[Any],
+    columns: Dict[int, int],
+    draws: Sequence[Sequence[float]],
+    root: tuple,
+    stop: int,
+) -> Iterator[Leaf]:
+    """The depth-first walk of :func:`walk_trajectories` over ``ops[:stop]``."""
+    pending = [root]
+    held = root[1].nbytes
+    while pending:
+        start, state, bits, members = pending.pop()
+        if state is None:
+            path = (0, root[1], root[2], members[:1])
+            ((state, bits, _),) = _walk(ops, columns, draws, path, start)
         else:
-            tensor = op.apply(tensor)
-    return tensor, tuple(bits)
+            held -= state.nbytes
+        for index in range(start, stop):
+            op = ops[index]
+            column = columns.get(index)
+            if column is None:
+                if not op.is_dynamic:
+                    state = op.apply(state)
+                elif bits[op.clbit] == op.value:
+                    state = op.inner.apply(state)
+                continue
+            choose, build = op.branch_table(state)
+            groups: Dict[int, List[int]] = {}
+            for member in members:
+                groups.setdefault(choose(draws[member][column]), []).append(member)
+            (branch, members), *siblings = groups.items()
+            for sibling, group in siblings:
+                child: Optional[np.ndarray] = None
+                if held + state.nbytes <= _PENDING_STATE_BYTES:
+                    child = build(sibling)
+                    held += child.nbytes
+                pending.append((index + 1, child, _record(op, bits, sibling), group))
+            state, bits = build(branch), _record(op, bits, branch)
+        yield state, bits, members
+
+
+def _record(op: Any, bits: Tuple[int, ...], branch: int) -> Tuple[int, ...]:
+    """The clbits after ``op`` took ``branch``: a measurement writes it."""
+    if isinstance(op, MeasureOp):
+        return bits[: op.clbit] + (branch,) + bits[op.clbit + 1 :]
+    return bits
 
 
 def execute_dynamic_density(
@@ -913,7 +981,9 @@ class ExecutionPlan:
                     values[p.name] if isinstance(p, Parameter) else float(p)
                     for p in op.params
                 )
-                tensor = _gate_ptm(op.gate_name, bound, matrix, len(op.targets))
+                tensor = _gate_ptm(
+                    op.gate_name, bound, matrix, len(op.targets), store=False
+                )
                 ops.append(PTMOp(op.gate_name, tensor, op.targets, self._dtype))
             else:
                 ops.append(

@@ -140,10 +140,11 @@ class BaseBackend:
 
         Plans with dynamic ops leave the static loop:
 
-        * pure modes thread ``rng`` (fresh unseeded generator when
-          ``None``) and a classical-bit register through
-          :func:`~repro.plan.execute_dynamic_pure` — one stochastic
-          trajectory; the final clbit string lands in
+        * pure modes run one stochastic trajectory, a one-member
+          :func:`~repro.plan.walk_trajectories` on ``rng`` (a fresh
+          unseeded generator when ``None``): ``execute()`` walks whole
+          blocks on that engine, so a loop of this call per trajectory
+          reproduces it bitwise.  The final clbit string lands in
           ``classical["bits"]`` when a dict is passed.
         * density mode runs the deterministic branch bookkeeping of
           :func:`~repro.plan.execute_dynamic_density`; the exact clbit
@@ -162,7 +163,7 @@ class BaseBackend:
         from repro.plan import (
             ExecutionPlan,
             execute_dynamic_density,
-            execute_dynamic_pure,
+            walk_trajectories,
         )
 
         if not isinstance(plan, ExecutionPlan):
@@ -209,9 +210,8 @@ class BaseBackend:
             if classical is not None:
                 classical["distribution"] = distribution
         else:
-            if rng is None:
-                rng = np.random.default_rng()
-            tensor, bits = execute_dynamic_pure(plan, tensor, rng)
+            rngs = [rng or np.random.default_rng()]
+            ((tensor, bits, _),) = walk_trajectories(plan, tensor, rngs)
             if classical is not None:
                 classical["bits"] = "".join(map(str, bits))
         if sanitizer is not None:

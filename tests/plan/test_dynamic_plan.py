@@ -6,13 +6,11 @@ import pytest
 from repro import Circuit, Instruction, NoiseModel, Parameter, compile_plan, depolarizing
 from repro.gates import get_gate
 from repro.plan import (
-    ConditionalOp,
     MeasureOp,
-    ResetOp,
     TrajectoryKrausOp,
     execute_dynamic_density,
-    execute_dynamic_pure,
     run_batched_sweep,
+    walk_trajectories,
 )
 from repro.sim import DensityMatrixBackend, StatevectorBackend, get_backend
 from repro.utils.exceptions import SimulationError
@@ -67,12 +65,18 @@ class TestLowering:
             op.apply(np.array([1.0, 0.0], dtype=np.complex128))
 
 
+def _basis(bits):
+    tensor = np.zeros((2,) * len(bits), dtype=np.complex128)
+    tensor[tuple(int(b) for b in bits)] = 1.0
+    return tensor
+
+
 class TestDynamicExecution:
     def test_pure_trajectory_records_bits(self):
         plan = compile_plan(_dynamic_circuit(), StatevectorBackend(), use_cache=False)
-        tensor = np.zeros((2, 2), dtype=np.complex128)
-        tensor[0, 0] = 1.0
-        state, bits = execute_dynamic_pure(plan, tensor, np.random.default_rng(0))
+        rng = np.random.default_rng(0)
+        ((state, bits, members),) = walk_trajectories(plan, _basis("00"), [rng])
+        assert members == [0]
         assert bits in ((0,), (1,))
         # Qubit 0 was reset; if the measurement read 1, qubit 1 was flipped.
         expected = np.zeros((2, 2), dtype=np.complex128)
@@ -90,15 +94,26 @@ class TestDynamicExecution:
         assert trace.real == pytest.approx(1.0, abs=1e-12)
 
     def test_conditional_op_applies_only_on_match(self):
-        from repro.plan import UnitaryOp
+        # One member walks measure(0 -> c0) then if c0 == 1: x(1); the
+        # clbit reads qubit 0 of a basis state, so the walk is certain.
+        circuit = (
+            Circuit(2, num_clbits=1)
+            .measure(0, 0)
+            .if_bit(0, 1, Instruction(get_gate("x"), (1,)))
+        )
+        plan = compile_plan(circuit, StatevectorBackend(), use_cache=False)
+        for start, end in (("00", "00"), ("10", "11")):
+            rng = np.random.default_rng(0)
+            ((state, bits, _),) = walk_trajectories(plan, _basis(start), [rng])
+            assert bits == (int(start[0]),)
+            np.testing.assert_array_equal(state, _basis(end))
 
-        inner = UnitaryOp("x", get_gate("x").matrix, (0,), np.complex128)
-        op = ConditionalOp(0, 1, inner)
-        state = np.array([1.0, 0.0], dtype=np.complex128)
-        untouched = op.apply_pure(state, np.random.default_rng(0), [0])
-        np.testing.assert_array_equal(untouched, state)
-        flipped = op.apply_pure(state, np.random.default_rng(0), [1])
-        np.testing.assert_array_equal(flipped, np.array([0.0, 1.0]))
+    def test_one_draw_per_random_op_none_per_conditional(self):
+        plan = compile_plan(_dynamic_circuit(), StatevectorBackend(), use_cache=False)
+        rng, twin = np.random.default_rng(5), np.random.default_rng(5)
+        list(walk_trajectories(plan, _basis("00"), [rng]))
+        twin.random(2)  # measure and reset; the conditional draws nothing
+        assert rng.bit_generator.state == twin.bit_generator.state
 
 
 class TestBatchGuard:

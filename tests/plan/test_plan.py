@@ -181,6 +181,60 @@ class TestParametricPlans:
         assert state.probability("1") == pytest.approx(1.0)
 
 
+class TestBindingKeepsGateCaches:
+    """Binding resolves each fresh angle once; the gate caches keep none."""
+
+    def test_fresh_angle_binds_leave_both_caches_alone(self, monkeypatch):
+        from repro.gates import get_gate, registry
+        from repro.plan import plan as plan_module
+        from repro.plan import run_batched_sweep
+
+        # A roomy cap, so a stored miss shows as a longer cache instead of
+        # hiding behind an eviction.
+        monkeypatch.setattr(registry._GATE_CACHE, "maxsize", 1 << 20)
+        monkeypatch.setattr(plan_module._GATE_PTM_CACHE, "maxsize", 1 << 20)
+        theta, phi = Parameter("theta"), Parameter("phi")
+        template = Circuit(2).ry(theta, 0).cx(0, 1).rz(phi, 1).h(0)
+        pure = compile_plan(template, "statevector")
+        ptm = compile_plan(template, "ptm")
+        points = [{"theta": 0.5 + 1e-3 * i, "phi": -0.25 - 1e-3 * i} for i in range(200)]
+        gates, ptms = len(registry._GATE_CACHE), len(plan_module._GATE_PTM_CACHE)
+        bound = [(pure.bind(point), ptm.bind(point)) for point in points]
+        run_batched_sweep(pure, points)
+        assert len(registry._GATE_CACHE) == gates
+        assert len(plan_module._GATE_PTM_CACHE) == ptms
+
+        for point, (pure_bound, ptm_bound) in zip(points, bound):
+            for name, key in (("ry", "theta"), ("rz", "phi")):
+                matrix = get_gate(name, point[key]).matrix
+                (pure_op,) = [op for op in pure_bound.ops if op.name == name]
+                assert pure_op.tensor.reshape(2, 2).tobytes() == matrix.tobytes()
+                expected = plan_module._gate_ptm(name, (point[key],), matrix, 1)
+                (ptm_op,) = [op for op in ptm_bound.ops if op.name == name]
+                assert ptm_op.tensor.reshape(4, 4).tobytes() == expected.tobytes()
+
+    def test_cached_gates_are_reused(self):
+        from repro.gates import get_gate
+
+        theta = Parameter("theta")
+        plan = compile_plan(Circuit(1).ry(theta, 0), "statevector")
+        cached = get_gate("ry", 0.75).matrix
+        (op,) = plan.bind({"theta": 0.75}).ops
+        assert np.shares_memory(op.tensor, cached)
+
+    def test_bad_gate_shapes_still_raise(self):
+        from repro.gates import register_gate
+        from repro.gates.registry import _REGISTRY, transient_gate
+        from repro.utils.exceptions import CircuitError
+
+        register_gate("test_only_wide_ry", 1, 1, lambda angle: np.eye(4))
+        try:
+            with pytest.raises(CircuitError, match="shape"):
+                transient_gate("test_only_wide_ry", 0.3)
+        finally:
+            _REGISTRY.pop("test_only_wide_ry")
+
+
 class TestExecutePlan:
     def test_matches_run(self):
         backend = get_backend("statevector")
